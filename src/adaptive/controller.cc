@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "obs/host_prof.hh"
 #include "obs/trace.hh"
 
 namespace grp
@@ -178,9 +179,10 @@ AdaptiveController::lowerClass(obs::HintClass cls)
     }
 }
 
-void
-AdaptiveController::onEpoch(Tick)
+bool
+AdaptiveController::onDeadline(Tick)
 {
+    GRP_HOST_SCOPE(1, Adaptive);
     ++*epochs_;
     const EpochSignals s = signals_.sample();
     const double pollution = s.pollutionRate();
@@ -224,10 +226,11 @@ AdaptiveController::onEpoch(Tick)
             lowerStreak_[c] = 0;
         }
     }
+    return true;
 }
 
 void
-AdaptiveController::onWarmupBoundary()
+AdaptiveController::onWarmupEnd()
 {
     stats_.reset();
     signals_.reprime();

@@ -38,6 +38,7 @@
 #ifndef GRP_ADAPTIVE_CONTROLLER_HH
 #define GRP_ADAPTIVE_CONTROLLER_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <ostream>
@@ -46,6 +47,7 @@
 #include "adaptive/signals.hh"
 #include "obs/stat_registry.hh"
 #include "sim/config.hh"
+#include "sim/run_observer.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -70,8 +72,9 @@ constexpr unsigned kNumLevels = 3;
 
 const char *toString(Knob knob);
 
-/** Epoch-based per-hint-class feedback controller. */
-class AdaptiveController
+/** Epoch-based per-hint-class feedback controller; as a run-loop
+ *  observer, an epoch ends at every nonzero multiple of epochCycles. */
+class AdaptiveController : public RunObserver
 {
   public:
     /**
@@ -90,14 +93,24 @@ class AdaptiveController
     /** The knob table the hardware reads. */
     const ControlPlane &plane() const { return plane_; }
 
-    /** Evaluate one epoch ending at @p now. */
-    void onEpoch(Tick now);
+    Tick
+    nextDeadline(Tick now) const override
+    {
+        const Tick e = config_.epochCycles;
+        return (std::max<Tick>(now, 1) + e - 1) / e * e;
+    }
+    /** Evaluate one epoch ending at @p now (never ends the run). */
+    bool onDeadline(Tick now) override;
 
     /** Measurement boundary: zero the controller stats and re-prime
      *  the sampler on the freshly reset counters. Knob levels are
      *  kept — the warmed-up operating point is part of the state
      *  warmup exists to establish. */
-    void onWarmupBoundary();
+    void onWarmupEnd() override;
+
+    /** Print the end-of-run report (--adaptive-report) to @p os. */
+    void setReport(std::ostream *os) { report_ = os; }
+    void onFinish(bool) override { if (report_) writeReport(*report_); }
 
     /** Current ladder level of @p knob for @p cls (0..2). */
     unsigned
@@ -163,6 +176,7 @@ class AdaptiveController
                kNumClasses>
         timeInState_{};
     obs::ScopedStatRegistration statReg_;
+    std::ostream *report_ = nullptr;
 };
 
 } // namespace adaptive

@@ -76,6 +76,7 @@ Cpu::fetchNext()
 void
 Cpu::tick()
 {
+    GRP_HOST_SCOPE(2, CpuTick);
     const Tick now = events_.curTick();
     ++cycles_;
 

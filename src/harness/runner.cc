@@ -31,6 +31,7 @@
 #include "sim/env.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/run_observer.hh"
 #include "workloads/predecode.hh"
 
 namespace grp
@@ -38,122 +39,6 @@ namespace grp
 
 namespace
 {
-
-/** Opens the global tracer for one run and guarantees it is closed
- *  (and unhooked from the run's clock) when the run ends. */
-class ScopedTrace
-{
-  public:
-    ScopedTrace(const ObsOptions &obs, const EventQueue &events,
-                bool warming)
-    {
-        if (obs.tracePath.empty())
-            return;
-        obs::Tracer &tracer = obs::Tracer::instance();
-        // open() warns on failure
-        if (!tracer.open(obs.tracePath, obs.traceFormat))
-            return;
-        active_ = true;
-        tracer.setLevel(obs.traceLevel);
-        tracer.setClock(&events);
-        tracer.setWarmup(warming);
-    }
-
-    ~ScopedTrace()
-    {
-        if (!active_)
-            return;
-        obs::Tracer &tracer = obs::Tracer::instance();
-        tracer.setClock(nullptr);
-        tracer.close();
-    }
-
-    ScopedTrace(const ScopedTrace &) = delete;
-    ScopedTrace &operator=(const ScopedTrace &) = delete;
-
-  private:
-    bool active_ = false;
-};
-
-/** Enables the thread's site profiler for one run, registers its
- *  aggregate StatGroup into the run's registry so exports carry the
- *  totals, and disables + wipes it when the run ends. */
-class ScopedSiteProfile
-{
-  public:
-    ScopedSiteProfile(const ObsOptions &obs,
-                      obs::StatRegistry &registry)
-        : active_(!obs.siteProfilePath.empty() ||
-                  obs.siteReportTop > 0 || obs.costReport)
-    {
-        if (!active_)
-            return;
-        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
-        prof.clear();
-        prof.setEnabled(true);
-        reg_.emplace(prof.stats(), registry);
-    }
-
-    ~ScopedSiteProfile()
-    {
-        if (!active_)
-            return;
-        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
-        prof.setEnabled(false);
-        prof.clear();
-    }
-
-    ScopedSiteProfile(const ScopedSiteProfile &) = delete;
-    ScopedSiteProfile &operator=(const ScopedSiteProfile &) = delete;
-
-    bool active() const { return active_; }
-
-  private:
-    bool active_ = false;
-    std::optional<obs::ScopedStatRegistration> reg_;
-};
-
-/** Applies one run's host-profiling level (an explicit
- *  ObsOptions::hostProfLevel overrides the thread's inherited level)
- *  and captures a baseline snapshot, so profile() reports this run's
- *  delta even when earlier runs on the thread already accumulated
- *  time. Restores the previous level on destruction. */
-class ScopedHostProf
-{
-  public:
-    explicit ScopedHostProf(const ObsOptions &obs)
-        : prevLevel_(obs::HostProfiler::instance().level())
-    {
-        obs::HostProfiler &prof = obs::HostProfiler::instance();
-        if (obs.hostProfLevel >= 0)
-            prof.setLevel(obs.hostProfLevel);
-        active_ = prof.level() > 0;
-        if (active_)
-            base_ = prof.snapshot();
-    }
-
-    ~ScopedHostProf()
-    {
-        obs::HostProfiler::instance().setLevel(prevLevel_);
-    }
-
-    ScopedHostProf(const ScopedHostProf &) = delete;
-    ScopedHostProf &operator=(const ScopedHostProf &) = delete;
-
-    bool active() const { return active_; }
-
-    /** The profiler's delta since this run began. */
-    obs::HostProfile
-    profile() const
-    {
-        return obs::HostProfiler::instance().snapshot().delta(base_);
-    }
-
-  private:
-    int prevLevel_;
-    bool active_ = false;
-    obs::HostProfile base_;
-};
 
 /** Folds a host profile into a registry-visible stat group: per-phase
  *  <phase>TotalNanos / <phase>SelfNanos / <phase>Calls for every
@@ -194,12 +79,130 @@ writeHostProfReport(const std::string &path,
         "host profile");
 }
 
+/**
+ * Host profiling for one run. Applies the run's level (an explicit
+ * ObsOptions::hostProfLevel overrides the thread's inherited level)
+ * and captures a baseline snapshot, so the run reports its own delta
+ * even when earlier runs on the thread already accumulated time. At
+ * the end of the run it folds that delta into the registry as a
+ * hostProf group, so every exporter (JSON, CSV, text dump,
+ * result.stats) carries it; the group exists only when the profiler
+ * is active, so GRP_HOST_PROF=0 artefacts stay byte-identical to
+ * unprofiled runs. Restores the previous level on destruction.
+ */
+class HostProfObserver final : public RunObserver
+{
+  public:
+    HostProfObserver(const ObsOptions &obs, obs::StatRegistry &registry)
+        : prevLevel_(obs::HostProfiler::instance().level()),
+          path_(obs.hostProfPath), registry_(registry)
+    {
+        obs::HostProfiler &prof = obs::HostProfiler::instance();
+        if (obs.hostProfLevel >= 0)
+            prof.setLevel(obs.hostProfLevel);
+        active_ = prof.level() > 0;
+        if (active_)
+            base_ = prof.snapshot();
+    }
+
+    ~HostProfObserver() override
+    {
+        obs::HostProfiler::instance().setLevel(prevLevel_);
+    }
+
+    void
+    onFinish(bool) override
+    {
+        if (!active_)
+            return;
+        fillHostProfStats(stats_, profile());
+        reg_.emplace(stats_, registry_);
+    }
+
+    /** Writes the --host-prof report of a finished run; the runner
+     *  calls it once the run scope closed, so the report prices
+     *  everything but its own serialization. */
+    void
+    writeReport() const
+    {
+        if (reg_ && !path_.empty())
+            writeHostProfReport(path_, profile());
+    }
+
+  private:
+    /** The profiler's delta since this run began. */
+    obs::HostProfile
+    profile() const
+    {
+        return obs::HostProfiler::instance().snapshot().delta(base_);
+    }
+
+    int prevLevel_;
+    std::string path_;
+    obs::StatRegistry &registry_;
+    bool active_ = false;
+    obs::HostProfile base_;
+    StatGroup stats_{"hostProf"};
+    std::optional<obs::ScopedStatRegistration> reg_;
+};
+
+/**
+ * The thread's tracer for one run: opens it (when the run asked for a
+ * trace), flips it out of warmup at the boundary, and closes it and
+ * unhooks it from the run's clock on destruction. Level 3 records a
+ * Stall event per throttled cycle, which fast-forward cannot batch,
+ * so a level-3 tracer declares a deadline on every cycle.
+ */
+class TraceObserver final : public RunObserver
+{
+  public:
+    TraceObserver(const ObsOptions &obs, const EventQueue &events,
+                  bool warming)
+    {
+        obs::Tracer &tracer = obs::Tracer::instance();
+        // open() warns on failure
+        if (!obs.tracePath.empty() &&
+            tracer.open(obs.tracePath, obs.traceFormat)) {
+            active_ = true;
+            tracer.setLevel(obs.traceLevel);
+            tracer.setClock(&events);
+            tracer.setWarmup(warming);
+        }
+        perCycle_ = tracer.enabled(3);
+    }
+
+    ~TraceObserver() override
+    {
+        if (!active_)
+            return;
+        obs::Tracer &tracer = obs::Tracer::instance();
+        tracer.setClock(nullptr);
+        tracer.close();
+    }
+
+    Tick
+    nextDeadline(Tick now) const override
+    {
+        return perCycle_ ? now : kMaxTick;
+    }
+
+    void
+    onWarmupEnd() override
+    {
+        obs::Tracer::instance().setWarmup(false);
+    }
+
+  private:
+    bool active_ = false;
+    bool perCycle_ = false;
+};
+
 /** The counterfactual cost report: what prefetching destroyed
  *  (pollution, channel contention) next to what it earned
- *  (coverage), with per-site attribution when the profiler ran. */
+ *  (coverage), with per-site attribution from the site profiler. */
 void
 printCostReport(std::ostream &os, MemorySystem &mem,
-                const SimConfig &config, bool profiler_active)
+                const SimConfig &config)
 {
     const StatGroup &ms = mem.stats();
     const uint64_t both = ms.value("pollutionBothHits");
@@ -238,8 +241,6 @@ printCostReport(std::ostream &os, MemorySystem &mem,
        << mem.dram().stats().value("contentionDemandStallCycles")
        << "\n";
 
-    if (!profiler_active)
-        return;
     const obs::SiteProfiler &prof = obs::SiteProfiler::instance();
     const uint64_t penalty = prof.missPenalty();
     std::vector<
@@ -267,6 +268,83 @@ printCostReport(std::ostream &os, MemorySystem &mem,
            << site.netCycles(penalty) << "\n";
     }
 }
+
+/**
+ * The thread's site profiler for one run. It starts from an empty
+ * table and stat group, registers the aggregate group into the run's
+ * registry so exports carry the totals, restarts the table at the
+ * warmup boundary, and writes the profile JSON, the worst-offender
+ * report and the cost report (which implies profiling) at the end.
+ * Disables and wipes the profiler on destruction.
+ */
+class SiteProfileObserver final : public RunObserver
+{
+  public:
+    SiteProfileObserver(const ObsOptions &obs,
+                        obs::StatRegistry &registry, MemorySystem &mem,
+                        const SimConfig &config)
+        : obs_(obs), mem_(mem), config_(config),
+          active_(!obs.siteProfilePath.empty() ||
+                  obs.siteReportTop > 0 || obs.costReport)
+    {
+        if (!active_)
+            return;
+        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
+        prof.restart();
+        prof.setEnabled(true);
+        // Net-cycles prices one avoided/suffered miss at a full
+        // memory round trip under this run's DRAM timing.
+        prof.setMissPenalty(config.dram.rowConflictCycles +
+                            config.dram.transferCycles);
+        reg_.emplace(prof.stats(), registry);
+    }
+
+    ~SiteProfileObserver() override
+    {
+        if (!active_)
+            return;
+        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
+        prof.setEnabled(false);
+        prof.clear();
+    }
+
+    /** Restart the table with the measured window so its column sums
+     *  reconcile with the post-reset registry totals (warmup-era
+     *  fills still in flight attribute to the warmup columns via
+     *  PrefetchFillInfo::warm). */
+    void
+    onWarmupEnd() override
+    {
+        obs::SiteProfiler::instance().clear();
+    }
+
+    void
+    onFinish(bool partial) override
+    {
+        if (!active_)
+            return;
+        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
+        if (!obs_.siteProfilePath.empty()) {
+            prof.exportJsonFile(obs_.siteProfilePath,
+                                [partial](obs::JsonWriter &json) {
+                                    if (partial)
+                                        json.kv("partial", true);
+                                });
+        }
+        if (obs_.siteReportTop > 0)
+            prof.writeReport(std::cout,
+                             static_cast<size_t>(obs_.siteReportTop));
+        if (obs_.costReport)
+            printCostReport(std::cout, mem_, config_);
+    }
+
+  private:
+    const ObsOptions &obs_;
+    MemorySystem &mem_;
+    const SimConfig &config_;
+    bool active_;
+    std::optional<obs::ScopedStatRegistration> reg_;
+};
 
 /**
  * Environment-forced tracing for overhead measurement: with
@@ -297,6 +375,153 @@ applyForcedTrace(ObsOptions &obs)
         "GRP_TRACE_LEVEL", static_cast<uint64_t>(obs.traceLevel)));
 }
 
+/**
+ * The run's live-telemetry meter: on a run-owned sidecar (--pulse),
+ * on the shared process-wide stream ($GRP_PULSE) that multiplexes
+ * every sweep job, or, with neither, on no sink at all — then it
+ * only polls for a clean stop.
+ */
+obs::PulseMeter
+makePulseMeter(const std::string &workload, const SimConfig &config,
+               const RunOptions &options, uint64_t warmup,
+               std::function<obs::PulseSample()> sampler)
+{
+    const bool owns = !options.obs.pulsePath.empty();
+    std::shared_ptr<obs::PulseSink> sink =
+        owns ? std::make_shared<obs::PulseSink>(options.obs.pulsePath)
+             : obs::PulseSink::process();
+    if (sink && !sink->ok())
+        sink.reset();
+    obs::PulseRunMeta meta;
+    if (!owns) {
+        meta.job = !obs::pulseJobLabel().empty()
+                       ? obs::pulseJobLabel()
+                       : workload + "/" + toString(config.scheme);
+    }
+    meta.workload = workload;
+    meta.scheme = toString(config.scheme);
+    meta.seed = options.seed;
+    meta.targetInstructions = options.maxInstructions + warmup;
+    return obs::PulseMeter(std::move(sink), owns, options.obs.pulse,
+                           std::move(meta), std::move(sampler));
+}
+
+/** Beat-cadence snapshot of the run's key rates; string stat lookups
+ *  are fine here — this runs a few hundred times per run, not per
+ *  cycle. */
+obs::PulseSample
+samplePulse(const Cpu &cpu, MemorySystem &mem,
+            const PrefetchEngine *engine, const SimConfig &config)
+{
+    obs::PulseSample s;
+    s.instructions = cpu.retiredInstructions();
+    s.cycles = cpu.cycles();
+    const StatGroup &ms = mem.stats();
+    s.prefetchesIssued = ms.value("prefetchesIssued");
+    s.prefetchFills = ms.value("prefetchFills");
+    s.usefulPrefetches = ms.value("usefulPrefetches");
+    s.pollutionMisses = ms.value("pollutionMisses");
+    if (engine) {
+        s.queueDepth = engine->queueDepth();
+        s.queueCapacity = config.region.queueEntries;
+    }
+    const StatGroup &ds = mem.dram().stats();
+    s.dramIdleCycles = ds.value("contentionIdleCycles");
+    s.dramTotalCycles = s.dramIdleCycles +
+                        ds.value("contentionDemandCycles") +
+                        ds.value("contentionPrefetchCycles") +
+                        ds.value("contentionWritebackCycles");
+    return s;
+}
+
+/** One time-series bucket: queue, channel, bank and MSHR occupancy,
+ *  plus the adaptive controller's state when it runs. */
+void
+sampleSeries(obs::TimeSeries &series, Tick now, MemorySystem &mem,
+             const PrefetchEngine *engine,
+             const adaptive::AdaptiveController *controller)
+{
+    series.record("prefetchQueueDepth", now,
+                  engine ? static_cast<double>(engine->queueDepth())
+                         : 0.0);
+    series.record("busyChannels", now, mem.dram().busyChannels(now));
+    // Bank prep visibility exists only on queued backends; gating the
+    // track keeps legacy time-series artefacts byte-identical.
+    if (mem.dram().queued())
+        series.record("activeBanks", now, mem.dram().activeBanks(now));
+    series.record("l2MshrInFlight", now, mem.l2Mshrs().inFlight());
+    series.record("demandQueueDepth", now,
+                  static_cast<double>(mem.demandQueueDepth()));
+    series.record("writebackQueueDepth", now,
+                  static_cast<double>(mem.writebackQueueDepth()));
+    if (controller) {
+        series.record("adaptiveSpatialRegionBlocks", now,
+                      static_cast<double>(
+                          controller->spatialRegionBlocks()));
+        series.record("adaptiveTransitions", now,
+                      static_cast<double>(
+                          controller->totalTransitions()));
+    }
+}
+
+/** The measured-window metrics of a finished run; the stats snapshot
+ *  is taken later, once every observer has finished. */
+RunResult
+collectResult(const std::string &workload, const SimConfig &config,
+              const WorkloadInfo &info, const HintStats &hint_stats,
+              const Cpu &cpu, MemorySystem &mem,
+              const PrefetchEngine *engine, uint64_t warm_instructions,
+              uint64_t warm_cycles, bool partial)
+{
+    RunResult result;
+    result.workload = workload;
+    result.scheme = config.scheme;
+    result.perfection = config.perfection;
+    result.partial = partial;
+    result.info = info;
+    result.instructions = cpu.retiredInstructions() - warm_instructions;
+    result.cycles = cpu.cycles() - warm_cycles;
+    result.ipc = result.cycles
+                     ? static_cast<double>(result.instructions) /
+                           static_cast<double>(result.cycles)
+                     : 0.0;
+    result.trafficBytes = mem.trafficBytes();
+    result.l2DemandAccesses = mem.stats().value("l2DemandAccesses");
+    result.l2MissesTotal = mem.stats().value("l2DemandMissesTotal");
+    result.l2MissesToMemory = mem.l2DemandMisses();
+    result.prefetchFills = mem.stats().value("prefetchFills");
+    // Measured-window first-uses only; warmup-era fills consumed
+    // after the boundary are attributed separately so accuracy()
+    // compares fills and uses over the same window.
+    result.usefulPrefetches = mem.stats().value("usefulPrefetches");
+    result.warmupUsefulPrefetches =
+        mem.stats().value("usefulPrefetchWarmupCarryover");
+    // Structural invariant behind RunResult::accuracy(): warmup
+    // carryover is attributed separately, so measured-window uses
+    // cannot exceed measured-window fills. A violation is an
+    // attribution bug — count it (the stat exports as 0 in healthy
+    // runs) and abort debug builds.
+    if (result.usefulPrefetches > result.prefetchFills) {
+        ++mem.stats().counter("accuracyClampEvents");
+        warn("accuracy invariant violated: useful %llu > fills %llu",
+             (unsigned long long)result.usefulPrefetches,
+             (unsigned long long)result.prefetchFills);
+        assert(!"useful prefetches exceeded prefetch fills");
+    }
+    result.hints = hint_stats;
+
+    if (const auto *grp_engine = dynamic_cast<const GrpEngine *>(engine)) {
+        const Distribution &sizes = grp_engine->regionSizes();
+        for (unsigned blocks = 1; blocks <= kBlocksPerRegion;
+             blocks <<= 1) {
+            const uint64_t count = sizes.count(blocks);
+            if (count)
+                result.regionSizes[blocks] = count;
+        }
+    }
+    return result;
+}
+
 } // namespace
 
 uint64_t
@@ -312,7 +537,14 @@ runWorkload(const std::string &workload_name, SimConfig config,
 {
     RunOptions options = options_in;
     applyForcedTrace(options.obs);
-    ScopedHostProf host_prof(options.obs);
+    const ObsOptions &obs = options.obs;
+    // Every component of this run registers into a run-local registry,
+    // so concurrent sweep jobs (and same-thread nested runs) never
+    // share or clobber each other's statistics.
+    obs::StatRegistry registry;
+    RunObservers observers;
+    HostProfObserver host_prof(obs, registry);
+    observers.add(host_prof);
     GRP_HOST_SCOPE_NAMED(run_scope, 1, Run);
     GRP_HOST_SCOPE_NAMED(setup_scope, 1, Setup);
     auto workload = makeWorkload(workload_name);
@@ -363,13 +595,9 @@ runWorkload(const std::string &workload_name, SimConfig config,
     const HintTable &table =
         rec ? rec->hints(config.policy) : own_table;
 
-    // Every component of this run registers into a run-local registry,
-    // so concurrent sweep jobs (and same-thread nested runs) never
-    // share or clobber each other's statistics.
-    obs::StatRegistry registry;
     EventQueue events;
     MemorySystem mem(config, events, registry);
-    if (options.obs.shadow || options.obs.costReport)
+    if (obs.shadow || obs.costReport)
         mem.enableShadowTags();
     auto engine = makePrefetchEngine(config, fmem, mem, registry);
 
@@ -377,8 +605,7 @@ runWorkload(const std::string &workload_name, SimConfig config,
     // it samples only this run's registry-backed counters, so sweep
     // determinism is untouched. A null plane everywhere else means
     // the hardware behaves exactly as before.
-    fatal_if(options.obs.adaptiveReport &&
-                 !config.usesAdaptiveController(),
+    fatal_if(obs.adaptiveReport && !config.usesAdaptiveController(),
              "--adaptive-report requires the grp-adaptive scheme");
     std::optional<adaptive::AdaptiveController> controller;
     if (config.usesAdaptiveController()) {
@@ -438,89 +665,52 @@ runWorkload(const std::string &workload_name, SimConfig config,
             ? options.maxInstructions / 4
             : options.warmupInstructions;
 
-    // Live telemetry: a run-owned sidecar (--pulse) or the shared
-    // process-wide stream ($GRP_PULSE) that multiplexes every sweep
-    // job. With neither, the optional stays empty and the sim loop
-    // pays one branch per cycle.
-    std::shared_ptr<obs::PulseSink> pulse_sink;
-    bool owns_pulse = false;
-    if (!options.obs.pulsePath.empty()) {
-        pulse_sink =
-            std::make_shared<obs::PulseSink>(options.obs.pulsePath);
-        owns_pulse = true;
-    } else {
-        pulse_sink = obs::PulseSink::process();
-    }
-    std::optional<obs::PulseMeter> pulse;
-    if (pulse_sink && pulse_sink->ok()) {
-        obs::PulseRunMeta meta;
-        if (!owns_pulse) {
-            meta.job = !obs::pulseJobLabel().empty()
-                           ? obs::pulseJobLabel()
-                           : workload_name + "/" +
-                                 toString(config.scheme);
-        }
-        meta.workload = workload_name;
-        meta.scheme = toString(config.scheme);
-        meta.seed = options.seed;
-        meta.targetInstructions = options.maxInstructions + warmup;
-        pulse.emplace(pulse_sink, owns_pulse, options.obs.pulse,
-                      std::move(meta));
-    }
-    // Beat-cadence snapshot of the run's key rates; string stat
-    // lookups are fine here — this runs a few hundred times per run,
-    // not per cycle.
-    const auto sample_pulse = [&](Tick now) {
-        obs::PulseSample s;
-        s.instructions = cpu.retiredInstructions();
-        s.cycles = now;
-        const StatGroup &ms = mem.stats();
-        s.prefetchesIssued = ms.value("prefetchesIssued");
-        s.prefetchFills = ms.value("prefetchFills");
-        s.usefulPrefetches = ms.value("usefulPrefetches");
-        s.pollutionMisses = ms.value("pollutionMisses");
-        if (engine) {
-            s.queueDepth = engine->queueDepth();
-            s.queueCapacity = config.region.queueEntries;
-        }
-        const StatGroup &ds = mem.dram().stats();
-        s.dramIdleCycles = ds.value("contentionIdleCycles");
-        s.dramTotalCycles = s.dramIdleCycles +
-                            ds.value("contentionDemandCycles") +
-                            ds.value("contentionPrefetchCycles") +
-                            ds.value("contentionWritebackCycles");
-        return s;
-    };
-
-    ScopedTrace trace(options.obs, events, warmup > 0);
-    ScopedSiteProfile site_profile(options.obs, registry);
-    if (site_profile.active()) {
-        // Net-cycles prices one avoided/suffered miss at a full
-        // memory round trip under this run's DRAM timing.
-        obs::SiteProfiler::instance().setMissPenalty(
-            config.dram.rowConflictCycles + config.dram.transferCycles);
+    // Observers fire in registration order. The order below keeps
+    // the adaptive epoch ahead of the time-series sample that reads
+    // its knobs, and the reports in their stdout order: site, cost,
+    // adaptive (then the runner's stats dump).
+    TraceObserver trace(obs, events, warmup > 0);
+    observers.add(trace);
+    SiteProfileObserver site_profile(obs, registry, mem, config);
+    observers.add(site_profile);
+    if (controller) {
+        if (obs.adaptiveReport)
+            controller->setReport(&std::cout);
+        observers.add(*controller);
     }
     std::optional<obs::TimeSeries> series;
-    if (!options.obs.timeseriesPath.empty())
-        series.emplace(options.obs.timeseriesBucket);
-    const uint64_t bucket = options.obs.timeseriesBucket;
+    if (!obs.timeseriesPath.empty()) {
+        series.emplace(obs.timeseriesBucket, obs.timeseriesPath,
+                       [&](obs::TimeSeries &s, Tick now) {
+                           sampleSeries(s, now, mem, engine.get(),
+                                        controller ? &*controller
+                                                   : nullptr);
+                       });
+        observers.add(*series);
+    }
+    obs::PulseMeter pulse = makePulseMeter(
+        workload_name, config, options, warmup,
+        [&] { return samplePulse(cpu, mem, engine.get(), config); });
+    observers.add(pulse);
 
-    // Stall fast-forward (see docs/PERFORMANCE.md): when the CPU is
-    // provably stalled and the memory system has no per-cycle work,
-    // jump time straight to the next tick at which anything can
-    // change, batch-applying the skipped cycles' accounting. Level-3
-    // tracing records a Stall event per throttled cycle, which cannot
-    // be batched, so it forces per-cycle stepping.
-    const bool fast_forward =
-        envInt("GRP_FAST_FORWARD", 1) != 0 &&
-        !obs::Tracer::instance().enabled(3);
+    // Stall fast-forward (docs/PERFORMANCE.md): jump over cycles in
+    // which nothing can change, batch-applying their accounting.
+    const bool fast_forward = envInt("GRP_FAST_FORWARD", 1) != 0;
     setup_scope.stop();
 
     GRP_HOST_SCOPE_NAMED(loop_scope, 1, SimLoop);
     Tick cycle = 0;
+    Tick deadline = observers.nextDeadline(0);
     uint64_t warm_instructions = 0;
     uint64_t warm_cycles = 0;
     bool measuring = warmup == 0;
+    // The warmup boundary and the observers' instruction triggers
+    // share one retire mark.
+    const auto next_retire_mark = [&] {
+        return std::min(measuring ? kNoRetireMark : warmup,
+                        observers.nextRetireMark());
+    };
+    uint64_t retire_mark = next_retire_mark();
     bool stopped = false;
     while (!cpu.done() &&
            cpu.retiredInstructions() <
@@ -529,237 +719,82 @@ runWorkload(const std::string &workload_name, SimConfig config,
             GRP_HOST_SCOPE(2, Events);
             events.advanceTo(cycle);
         }
-        {
-            GRP_HOST_SCOPE(2, CpuTick);
-            cpu.tick();
-        }
-        {
-            GRP_HOST_SCOPE(2, MemTick);
-            mem.tick();
-        }
-        if (controller && cycle &&
-            cycle % config.adaptive.epochCycles == 0) {
-            GRP_HOST_SCOPE(1, Adaptive);
-            controller->onEpoch(cycle);
-        }
-        if (series && cycle % bucket == 0) {
-            GRP_HOST_SCOPE(1, Timeseries);
-            series->record("prefetchQueueDepth", cycle,
-                           engine ? static_cast<double>(
-                                        engine->queueDepth())
-                                  : 0.0);
-            series->record("busyChannels", cycle,
-                           mem.dram().busyChannels(cycle));
-            // Bank prep visibility exists only on queued backends;
-            // gating the track keeps legacy time-series artefacts
-            // byte-identical.
-            if (mem.dram().queued()) {
-                series->record("activeBanks", cycle,
-                               mem.dram().activeBanks(cycle));
-            }
-            series->record("l2MshrInFlight", cycle,
-                           mem.l2Mshrs().inFlight());
-            series->record("demandQueueDepth", cycle,
-                           static_cast<double>(
-                               mem.demandQueueDepth()));
-            series->record("writebackQueueDepth", cycle,
-                           static_cast<double>(
-                               mem.writebackQueueDepth()));
-            if (controller) {
-                series->record("adaptiveSpatialRegionBlocks", cycle,
-                               static_cast<double>(
-                                   controller->spatialRegionBlocks()));
-                series->record("adaptiveTransitions", cycle,
-                               static_cast<double>(
-                                   controller->totalTransitions()));
-            }
-        }
-        ++cycle;
-        if (!measuring && cpu.retiredInstructions() >= warmup) {
-            // End of warmup: discard cold-start statistics.
-            mem.resetStats();
-            if (engine.get())
-                engine->stats().reset();
-            obs::Tracer::instance().setWarmup(false);
-            // Restart the site table with the measured window so its
-            // column sums reconcile with the post-reset registry
-            // totals (warmup-era fills still in flight attribute to
-            // the warmup columns via PrefetchFillInfo::warm).
-            obs::SiteProfiler::instance().clear();
-            if (controller)
-                controller->onWarmupBoundary();
-            warm_instructions = cpu.retiredInstructions();
-            warm_cycles = cycle;
-            measuring = true;
-        }
-        // Telemetry beats: the instruction trigger is a single
-        // compare per cycle; the wall-clock floor and the clean-stop
-        // flag read a clock/atomic, so they poll on a coarse cycle
-        // mask. The stop check is deliberately independent of pulse
-        // enablement — SIGINT winds down cleanly with telemetry off.
-        if (pulse && pulse->due(cpu.retiredInstructions()))
-            pulse->beat(sample_pulse(cycle));
-        if ((cycle & 0x3FFF) == 0) {
-            if (obs::stopRequested()) {
+        cpu.tick();
+        mem.tick();
+        if (cycle == deadline) {
+            if (!observers.fireDeadline(cycle)) {
                 stopped = true;
                 break;
             }
-            if (pulse && pulse->wallFloorDue())
-                pulse->beat(sample_pulse(cycle));
+            deadline = observers.nextDeadline(cycle + 1);
         }
-        if (fast_forward) {
-            // The iteration for tick (cycle-1) just completed; the
-            // next iterations handle ticks cycle, cycle+1, ... Every
-            // skipped tick must be one where (a) the CPU can only
-            // repeat its stall accounting, (b) no event fires, (c)
-            // the memory system only repeats its per-cycle
-            // accounting, and (d) no observable (epoch, timeseries
-            // bucket, stop/wall poll, deadlock panic) would trigger.
-            const Cpu::StallState st = cpu.stallState(cycle - 1);
-            if (st.stalled) {
-                GRP_HOST_SCOPE(2, Events);
-                Tick target =
-                    std::min(events.nextEventTick(), st.readyTick);
-                target =
-                    std::min(target, mem.nextWorkTick(cycle - 1));
-                target = std::min(target, cpu.deadlockTick());
-                if (controller) {
-                    const uint64_t e = config.adaptive.epochCycles;
-                    target = std::min(target,
-                                      (cycle + e - 1) / e * e);
-                }
-                if (series) {
-                    target = std::min(
-                        target, (cycle + bucket - 1) / bucket * bucket);
-                }
-                // The stop/wall poll fires when the post-increment
-                // counter hits a 0x4000 multiple, i.e. during the
-                // iteration for tick B-1: never skip past it.
-                const Tick poll = ((cycle + 1 + 0x3FFF) & ~0x3FFFull);
-                target = std::min(target, poll - 1);
-                if (target > cycle) {
-                    cpu.fastForward(target - cycle, st.robFullPath);
-                    mem.fastForwardTicks(cycle, target);
-                    cycle = target;
-                }
+        ++cycle;
+        if (cpu.retiredInstructions() >= retire_mark) {
+            if (!measuring && cpu.retiredInstructions() >= warmup) {
+                // End of warmup: discard cold-start statistics.
+                mem.resetStats();
+                if (engine)
+                    engine->stats().reset();
+                observers.warmupEnd();
+                warm_instructions = cpu.retiredInstructions();
+                warm_cycles = cycle;
+                measuring = true;
+            }
+            observers.fireRetireMark(cpu.retiredInstructions());
+            retire_mark = next_retire_mark();
+        }
+        // Tick cycle-1 is done. Skip ticks cycle, cycle+1, ... while
+        // the CPU only repeats its stall accounting, no event fires,
+        // the memory system only repeats its per-cycle accounting, no
+        // observer deadline falls and the deadlock watchdog is quiet.
+        const Cpu::StallState st =
+            fast_forward ? cpu.stallState(cycle - 1) : Cpu::StallState{};
+        if (st.stalled) {
+            GRP_HOST_SCOPE(2, Events);
+            const Tick target = std::min(
+                {events.nextEventTick(), st.readyTick,
+                 mem.nextWorkTick(cycle - 1), cpu.deadlockTick(),
+                 deadline});
+            if (target > cycle) {
+                cpu.fastForward(target - cycle, st.robFullPath);
+                mem.fastForwardTicks(cycle, target);
+                cycle = target;
             }
         }
     }
     loop_scope.stop();
-    if (pulse) {
-        pulse->finish(sample_pulse(cycle), stopped,
-                      stopped ? "interrupted" : "completed");
-    }
 
     GRP_HOST_SCOPE_NAMED(finish_scope, 1, Finish);
-    RunResult result;
-    result.workload = workload_name;
-    result.scheme = config.scheme;
-    result.perfection = config.perfection;
-    result.partial = stopped;
-    result.info = info;
-    result.instructions = cpu.retiredInstructions() - warm_instructions;
-    result.cycles = cpu.cycles() - warm_cycles;
-    result.ipc = result.cycles
-                     ? static_cast<double>(result.instructions) /
-                           static_cast<double>(result.cycles)
-                     : 0.0;
-    result.trafficBytes = mem.trafficBytes();
-    result.l2DemandAccesses = mem.stats().value("l2DemandAccesses");
-    result.l2MissesTotal = mem.stats().value("l2DemandMissesTotal");
-    result.l2MissesToMemory = mem.l2DemandMisses();
-    result.prefetchFills = mem.stats().value("prefetchFills");
-    // Measured-window first-uses only; warmup-era fills consumed
-    // after the boundary are attributed separately so accuracy()
-    // compares fills and uses over the same window.
-    result.usefulPrefetches = mem.stats().value("usefulPrefetches");
-    result.warmupUsefulPrefetches =
-        mem.stats().value("usefulPrefetchWarmupCarryover");
-    // Structural invariant behind RunResult::accuracy(): warmup
-    // carryover is attributed separately, so measured-window uses
-    // cannot exceed measured-window fills. A violation is an
-    // attribution bug — count it (the stat exports as 0 in healthy
-    // runs) and abort debug builds.
-    if (result.usefulPrefetches > result.prefetchFills) {
-        ++mem.stats().counter("accuracyClampEvents");
-        warn("accuracy invariant violated: useful %llu > fills %llu",
-             (unsigned long long)result.usefulPrefetches,
-             (unsigned long long)result.prefetchFills);
-        assert(!"useful prefetches exceeded prefetch fills");
-    }
-    result.hints = hint_stats;
-
-    // When profiling is on, fold the run's host-time attribution into
-    // the registry as a hostProf group so every exporter (JSON, CSV,
-    // text dump, result.stats) carries it. The group exists only when
-    // the profiler is active: GRP_HOST_PROF=0 artefacts stay
-    // byte-identical to unprofiled runs.
-    std::optional<StatGroup> host_stats;
-    std::optional<obs::ScopedStatRegistration> host_stats_reg;
-    if (host_prof.active()) {
-        host_stats.emplace("hostProf");
-        fillHostProfStats(*host_stats, host_prof.profile());
-        host_stats_reg.emplace(*host_stats, registry);
-    }
-    result.stats = registry.snapshot();
-
-    if (auto *grp_engine = dynamic_cast<GrpEngine *>(engine.get())) {
-        const Distribution &sizes = grp_engine->regionSizes();
-        for (unsigned blocks = 1; blocks <= kBlocksPerRegion;
-             blocks <<= 1) {
-            const uint64_t count = sizes.count(blocks);
-            if (count)
-                result.regionSizes[blocks] = count;
-        }
-    }
-
+    RunResult result = collectResult(
+        workload_name, config, info, hint_stats, cpu, mem, engine.get(),
+        warm_instructions, warm_cycles, stopped);
     finish_scope.stop();
 
     GRP_HOST_SCOPE_NAMED(export_scope, 1, StatsExport);
-    const ObsOptions &obs = options.obs;
-    // Top-level additions to the stats JSON: the partial-run marker
-    // (only on interrupted runs) and the provenance block (only when
-    // asked). When neither fires the lambda emits nothing and the
-    // document is byte-identical to the historical format.
-    const auto stats_extra = [&](obs::JsonWriter &json) {
-        if (result.partial)
-            json.kv("partial", true);
-        if (obs.statsProvenance) {
-            json.key("provenance");
-            writeProvenance(json, config);
-        }
-    };
-    const auto partial_extra = [&](obs::JsonWriter &json) {
-        if (result.partial)
-            json.kv("partial", true);
-    };
-    if (!obs.statsJsonPath.empty())
-        registry.exportJsonFile(obs.statsJsonPath, stats_extra);
+    observers.finish(stopped);
+    result.stats = registry.snapshot();
+    if (!obs.statsJsonPath.empty()) {
+        // Top-level additions: the partial-run marker (only on
+        // interrupted runs) and the provenance block (only when
+        // asked). When neither fires the document is byte-identical
+        // to the historical format.
+        registry.exportJsonFile(
+            obs.statsJsonPath, [&](obs::JsonWriter &json) {
+                if (result.partial)
+                    json.kv("partial", true);
+                if (obs.statsProvenance) {
+                    json.key("provenance");
+                    writeProvenance(json, config);
+                }
+            });
+    }
     if (!obs.statsCsvPath.empty())
         registry.exportCsvFile(obs.statsCsvPath);
-    if (series)
-        series->exportJsonFile(obs.timeseriesPath);
-    if (site_profile.active()) {
-        obs::SiteProfiler &prof = obs::SiteProfiler::instance();
-        if (!obs.siteProfilePath.empty())
-            prof.exportJsonFile(obs.siteProfilePath, partial_extra);
-        if (obs.siteReportTop > 0)
-            prof.writeReport(std::cout,
-                             static_cast<size_t>(obs.siteReportTop));
-    }
-    if (obs.costReport)
-        printCostReport(std::cout, mem, config, site_profile.active());
-    if (obs.adaptiveReport && controller)
-        controller->writeReport(std::cout);
     if (obs.dumpStats)
         registry.dumpText(std::cout);
     export_scope.stop();
     run_scope.stop();
-
-    // Written after the run scope closes so the report prices
-    // everything but its own serialization.
-    if (host_prof.active() && !obs.hostProfPath.empty())
-        writeHostProfReport(obs.hostProfPath, host_prof.profile());
+    host_prof.writeReport();
     return result;
 }
 

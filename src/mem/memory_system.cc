@@ -480,6 +480,7 @@ MemorySystem::indirectPrefetch(Addr base, unsigned elem_size,
 void
 MemorySystem::tick()
 {
+    GRP_HOST_SCOPE(2, MemTick);
     if (config_.perfection != Perfection::None)
         return;
 

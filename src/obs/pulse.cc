@@ -182,9 +182,10 @@ PulseSink::process()
 }
 
 PulseMeter::PulseMeter(std::shared_ptr<PulseSink> sink, bool owns_sink,
-                       PulseConfig config, PulseRunMeta meta)
-    : sink_(std::move(sink)), ownsSink_(owns_sink),
-      config_(config), meta_(std::move(meta))
+                       PulseConfig config, PulseRunMeta meta,
+                       std::function<PulseSample()> sampler)
+    : sink_(std::move(sink)), sampler_(std::move(sampler)),
+      ownsSink_(owns_sink), config_(config), meta_(std::move(meta))
 {
     config_.validate();
     interval_ = config_.intervalInstructions;
@@ -214,12 +215,22 @@ PulseMeter::PulseMeter(std::shared_ptr<PulseSink> sink, bool owns_sink,
 }
 
 bool
-PulseMeter::wallFloorDue() const
+PulseMeter::onDeadline(Tick)
 {
-    if (!sink_ || config_.wallFloorMillis == 0)
+    if (stopRequested())
         return false;
-    const uint64_t elapsed = sink_->monotonicNanos() - lastBeatNanos_;
-    return elapsed >= config_.wallFloorMillis * 1'000'000ull;
+    if (sink_ && config_.wallFloorMillis != 0 &&
+        sink_->monotonicNanos() - lastBeatNanos_ >=
+            config_.wallFloorMillis * 1'000'000ull)
+        beat(sampler_());
+    return true;
+}
+
+void
+PulseMeter::onFinish(bool partial)
+{
+    if (sink_)
+        finish(sampler_(), partial, partial ? "interrupted" : "completed");
 }
 
 void

@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/run_observer.hh"
 
 namespace grp
 {
@@ -82,9 +83,9 @@ class JsonWriter;
 
 /** @name Clean-stop request (SIGINT/SIGTERM plumbing).
  *  The signal handler calls requestStop() (async-signal-safe); the
- *  harness polls stopRequested() at beat-boundary cadence and winds
- *  the run down through the normal export path with a partial
- *  marker, instead of losing everything. */
+ *  run's PulseMeter polls stopRequested() every 16384 cycles and the
+ *  harness winds the run down through the normal export path with a
+ *  partial marker, instead of losing everything. */
 ///@{
 void requestStop();
 bool stopRequested();
@@ -201,32 +202,40 @@ struct PulseRunMeta
 };
 
 /**
- * Per-run beat cadence + watchdog. Owned by the harness for the
- * duration of one runWorkload() call; everything here runs at beat
- * cadence, so the only hot-loop cost is the due() compare.
+ * Per-run beat cadence + watchdog, a run-loop observer for the
+ * duration of one runWorkload() call: the instruction trigger is its
+ * retire mark, and its deadline is a poll on the last tick of every
+ * 16384-cycle block that reads the clock for the wall-clock floor
+ * and the clean-stop flag. A meter without a sink only polls, so
+ * SIGINT winds a run down cleanly with telemetry off.
  */
-class PulseMeter
+class PulseMeter : public RunObserver
 {
   public:
     /** Emits the start record. @p owns_sink: true when the sink
      *  carries only this run (finish() seals it); false for a shared
-     *  multiplexed sink (finish() emits a jobEnd record instead). */
+     *  multiplexed sink (finish() emits a jobEnd record instead).
+     *  @p sampler snapshots the run for the observer hooks. */
     PulseMeter(std::shared_ptr<PulseSink> sink, bool owns_sink,
-               PulseConfig config, PulseRunMeta meta);
+               PulseConfig config, PulseRunMeta meta,
+               std::function<PulseSample()> sampler = {});
 
-    PulseMeter(const PulseMeter &) = delete;
-    PulseMeter &operator=(const PulseMeter &) = delete;
-
-    /** The instruction-count trigger — the hot-loop check. */
+    /** The instruction-count trigger. */
     bool
     due(uint64_t instructions) const
     {
         return instructions >= nextBeatInstructions_;
     }
 
-    /** The wall-clock floor trigger (poll at a coarse cycle mask:
-     *  it reads the clock). */
-    bool wallFloorDue() const;
+    Tick nextDeadline(Tick now) const override { return now | 0x3FFF; }
+    bool onDeadline(Tick now) override;
+    uint64_t
+    nextRetireMark() const override
+    {
+        return sink_ ? nextBeatInstructions_ : kNoRetireMark;
+    }
+    void onRetireMark() override { beat(sampler_()); }
+    void onFinish(bool partial) override;
 
     /** Emit one beat record and run the watchdog over it. */
     void beat(const PulseSample &sample);
@@ -237,7 +246,6 @@ class PulseMeter
     void finish(const PulseSample &sample, bool partial,
                 const char *reason);
 
-    uint64_t beats() const { return beats_; }
     uint64_t warnings() const { return warnings_; }
     uint64_t intervalInstructions() const { return interval_; }
 
@@ -245,6 +253,7 @@ class PulseMeter
     void emitBeat(const PulseSample &sample, uint64_t nowNanos);
 
     std::shared_ptr<PulseSink> sink_;
+    std::function<PulseSample()> sampler_;
     bool ownsSink_;
     PulseConfig config_;
     PulseRunMeta meta_;

@@ -28,6 +28,13 @@ SiteProfiler::clear()
     stats_.reset();
 }
 
+void
+SiteProfiler::restart()
+{
+    table_.clear();
+    stats_ = StatGroup(stats_.name());
+}
+
 SiteCounters &
 SiteProfiler::entry(RefId ref, HintClass hint)
 {

@@ -144,10 +144,16 @@ class SiteProfiler
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    /** Wipe the table and the aggregate stats (does not change
-     *  enabled()); the harness calls this at the warmup boundary so
-     *  the table covers exactly the measured window. */
+    /** Wipe the table and zero the aggregate stats, keeping their
+     *  names (does not change enabled()); the harness calls this at
+     *  the warmup boundary so the table covers exactly the measured
+     *  window. */
     void clear();
+
+    /** Wipe the table and drop every aggregate stat name, so a run
+     *  exports only the names it creates itself, however many runs
+     *  this thread's profiler served before. */
+    void restart();
 
     void noteTrigger(RefId ref, HintClass hint);
     void noteEnqueue(RefId ref, HintClass hint, uint64_t candidates);

@@ -1,6 +1,7 @@
 #include "obs/timeseries.hh"
 
 #include "obs/atomic_file.hh"
+#include "obs/host_prof.hh"
 #include "obs/json_writer.hh"
 #include "sim/logging.hh"
 
@@ -9,11 +10,21 @@ namespace grp
 namespace obs
 {
 
-TimeSeries::TimeSeries(uint64_t bucket_cycles)
-    : bucket_(bucket_cycles)
+TimeSeries::TimeSeries(uint64_t bucket_cycles, std::string path,
+                       Probe probe)
+    : bucket_(bucket_cycles), path_(std::move(path)),
+      probe_(std::move(probe))
 {
     fatal_if(bucket_cycles == 0,
              "time-series bucket must be non-zero");
+}
+
+bool
+TimeSeries::onDeadline(Tick now)
+{
+    GRP_HOST_SCOPE(1, Timeseries);
+    probe_(*this, now);
+    return true;
 }
 
 void

@@ -13,11 +13,13 @@
 #define GRP_OBS_TIMESERIES_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/run_observer.hh"
 #include "sim/types.hh"
 
 namespace grp
@@ -25,13 +27,25 @@ namespace grp
 namespace obs
 {
 
-/** Named (tick, value) trajectories sharing one sampling bucket. */
-class TimeSeries
+/** Named (tick, value) trajectories sharing one sampling bucket. As
+ *  a run-loop observer it calls its probe at every multiple of the
+ *  bucket (tick 0 included) and exports to its path at the end. */
+class TimeSeries : public RunObserver
 {
   public:
-    explicit TimeSeries(uint64_t bucket_cycles);
+    /** Records one bucket boundary's samples. */
+    using Probe = std::function<void(TimeSeries &, Tick)>;
 
-    uint64_t bucket() const { return bucket_; }
+    explicit TimeSeries(uint64_t bucket_cycles, std::string path = {},
+                        Probe probe = {});
+
+    Tick
+    nextDeadline(Tick now) const override
+    {
+        return (now + bucket_ - 1) / bucket_ * bucket_;
+    }
+    bool onDeadline(Tick now) override;
+    void onFinish(bool) override { exportJsonFile(path_); }
 
     /** Record one sample of @p series at @p cycle. */
     void record(const std::string &series, Tick cycle, double value);
@@ -53,6 +67,8 @@ class TimeSeries
 
     uint64_t bucket_;
     std::map<std::string, Series> series_;
+    std::string path_;
+    Probe probe_;
 };
 
 } // namespace obs

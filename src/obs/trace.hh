@@ -159,7 +159,7 @@ class Tracer
      * The calling thread's tracer. Per-thread rather than
      * process-wide so concurrent sweep jobs (one job per pool
      * thread) trace independently; each run opens, flips and closes
-     * its own sink via ScopedTrace.
+     * its own sink through the runner's TraceObserver.
      */
     static Tracer &instance();
 
@@ -190,9 +190,6 @@ class Tracer
      *  buffered records are never lost. */
     void close();
 
-    /** The resolved format of the open sink. */
-    TraceFormat format() const { return format_; }
-
     /** Records between binary checkpoints for subsequently opened
      *  sinks (0 disables checkpoints; default 8192). */
     void setCheckpointInterval(uint64_t records)
@@ -209,7 +206,6 @@ class Tracer
     /** Mark records as warmup-era until flipped (the harness flips
      *  this at the measurement boundary). */
     void setWarmup(bool warmup) { warmup_ = warmup; }
-    bool warmup() const { return warmup_; }
 
     /** Cheap per-site guard: a sink is open and @p lvl is enabled. */
     bool

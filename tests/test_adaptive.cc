@@ -109,7 +109,7 @@ class AdaptiveControllerTest : public ::testing::Test
         feed.l2DemandAccesses += 1000;
         feed.channelCycles += 1000;
         feed.idleCycles += idle_pct * 10;
-        ctrl.onEpoch(++now);
+        ctrl.onDeadline(++now);
     }
 
     /** An epoch with too few fills for @p cls to carry signal. */
@@ -119,7 +119,7 @@ class AdaptiveControllerTest : public ::testing::Test
         feed.byClass[size_t(cls)].fills += 2;
         feed.channelCycles += 1000;
         feed.idleCycles += 600;
-        ctrl.onEpoch(++now);
+        ctrl.onDeadline(++now);
     }
 
     SimConfig config;
@@ -246,7 +246,7 @@ TEST_F(AdaptiveControllerTest, WarmupBoundaryKeepsKnobsButZerosStats)
     epoch(ctrl, HintClass::Spatial, 10);
     epoch(ctrl, HintClass::Spatial, 10);
     ASSERT_GT(ctrl.totalTransitions(), 0u);
-    ctrl.onWarmupBoundary();
+    ctrl.onWarmupEnd();
     // The warmed-up operating point survives the measurement
     // boundary; the counters do not.
     EXPECT_EQ(ctrl.plane().regionBlockCap(HintClass::Spatial), 16u);

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "cpu/cpu.hh"
@@ -84,6 +87,62 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+/**
+ * Every periodic observer on at once. With a 1000-cycle bucket the
+ * time-series, adaptive-epoch (2048) and stop-poll (16384) deadlines
+ * fall apart and sometimes coincide, and fast-forward must stop at
+ * each one: the counters and every artefact must come out byte for
+ * byte as under per-cycle stepping.
+ */
+TEST(FastForwardObservers, ArtefactsAreIdenticalToPerCycleStepping)
+{
+    setQuiet(true);
+    for (const char *workload : {"mcf", "art"}) {
+        std::map<std::string, uint64_t> counters[2];
+        std::map<std::string, std::string> artefacts[2];
+        for (int ff = 0; ff < 2; ++ff) {
+            const std::string stem = ::testing::TempDir() + "grp_ff_" +
+                                     workload + (ff ? "_on" : "_off");
+            RunOptions opts;
+            opts.maxInstructions = 30'000;
+            opts.warmupInstructions = 5'000;
+            ObsOptions &o = opts.obs;
+            o.timeseriesPath = stem + ".timeseries.json";
+            o.timeseriesBucket = 1000;
+            o.pulsePath = stem + ".pulse.jsonl";
+            o.shadow = true;
+            o.siteProfilePath = stem + ".sites.json";
+            o.tracePath = stem + ".grpbin";
+            o.traceLevel = 2;
+            setenv("GRP_FAST_FORWARD", ff ? "1" : "0", 1);
+            counters[ff] = simCounters(
+                runScheme(workload, PrefetchScheme::GrpAdaptive, opts));
+            unsetenv("GRP_FAST_FORWARD");
+            for (const std::string *path :
+                 {&o.timeseriesPath, &o.siteProfilePath, &o.tracePath}) {
+                artefacts[ff][path->substr(stem.size())] = slurp(*path);
+                std::remove(path->c_str());
+            }
+            std::remove(o.pulsePath.c_str());
+        }
+        EXPECT_EQ(counters[1], counters[0]) << workload;
+        for (const auto &[suffix, bytes] : artefacts[0]) {
+            EXPECT_FALSE(bytes.empty()) << workload << suffix;
+            EXPECT_TRUE(artefacts[1][suffix] == bytes)
+                << workload << suffix << " differs with fast-forward";
+        }
+    }
+}
 
 /** A canned trace source (one op per next() call). */
 class VectorTrace : public TraceSource

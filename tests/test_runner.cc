@@ -4,9 +4,11 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "harness/runner.hh"
 #include "sim/logging.hh"
+#include "sim/run_observer.hh"
 
 namespace grp
 {
@@ -118,6 +120,57 @@ TEST_F(RunnerTest, ResultCarriesSchemeAndPerfection)
     EXPECT_EQ(result.scheme, PrefetchScheme::Srp);
     EXPECT_EQ(result.perfection, Perfection::None);
     EXPECT_EQ(result.workload, "gzip");
+}
+
+/** A periodic observer that logs its firings; stops the run at
+ *  @p stop_at when set. */
+class Periodic : public RunObserver
+{
+  public:
+    Periodic(char name, Tick period, std::string &log,
+             Tick stop_at = kMaxTick)
+        : name_(name), period_(period), stopAt_(stop_at), log_(log)
+    {
+    }
+
+    Tick
+    nextDeadline(Tick now) const override
+    {
+        return (now + period_ - 1) / period_ * period_;
+    }
+
+    bool
+    onDeadline(Tick now) override
+    {
+        log_ += name_ + std::to_string(now) + " ";
+        return now != stopAt_;
+    }
+
+  private:
+    char name_;
+    Tick period_;
+    Tick stopAt_;
+    std::string &log_;
+};
+
+/** The scheduler's contract: the cached deadline is the minimum over
+ *  observers, equal deadlines fire in registration order, and an
+ *  observer that ends the run stops later ones at the same tick. */
+TEST(RunObservers, EqualDeadlinesFireInRegistrationOrder)
+{
+    std::string log;
+    Periodic a('a', 4, log, 24), b('b', 6, log);
+    RunObserver idle;
+    RunObservers observers;
+    observers.add(a);
+    observers.add(idle);
+    observers.add(b);
+    EXPECT_EQ(observers.nextRetireMark(), kNoRetireMark);
+    Tick now = observers.nextDeadline(1);
+    while (observers.fireDeadline(now))
+        now = observers.nextDeadline(now + 1);
+    EXPECT_EQ(now, 24u);
+    EXPECT_EQ(log, "a4 b6 a8 a12 b12 a16 b18 a20 a24 ");
 }
 
 } // namespace

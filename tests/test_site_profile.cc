@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "harness/runner.hh"
+#include "harness/suite.hh"
 #include "obs/json_reader.hh"
 #include "obs/site_profile.hh"
 #include "sim/logging.hh"
@@ -243,6 +246,39 @@ TEST(SiteProfile, AccuracyClampCounterExportsZero)
     ASSERT_TRUE(result.stats.counters.count("mem.accuracyClampEvents"));
     EXPECT_EQ(result.stats.value("mem.accuracyClampEvents"), 0u);
     EXPECT_LE(result.usefulPrefetches, result.prefetchFills);
+}
+
+/** The profiler is thread_local, but a run must not inherit stat
+ *  names an earlier run on the same thread created: a none run that
+ *  follows a grp-var run exports exactly what it exports on a fresh
+ *  thread. */
+TEST(SiteProfile, RunAfterAnotherOnItsThreadMatchesAFreshThread)
+{
+    setQuiet(true);
+    RunOptions opts;
+    opts.maxInstructions = 50'000;
+    opts.warmupInstructions = 10'000;
+    opts.obs.siteProfilePath =
+        ::testing::TempDir() + "grp_site_profile_reuse.json";
+    const auto counters = [&](const RunResult &result) {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, value] : result.stats.counters) {
+            if (name.rfind("hostProf.", 0) != 0)
+                out.emplace(name, value);
+        }
+        return out;
+    };
+
+    std::map<std::string, uint64_t> fresh, reused;
+    std::thread([&] {
+        fresh = counters(runScheme("gzip", PrefetchScheme::None, opts));
+    }).join();
+    std::thread([&] {
+        runScheme("mcf", PrefetchScheme::GrpVar, opts);
+        reused = counters(runScheme("gzip", PrefetchScheme::None, opts));
+    }).join();
+    EXPECT_EQ(reused, fresh);
+    std::remove(opts.obs.siteProfilePath.c_str());
 }
 
 } // namespace
