@@ -1,14 +1,13 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the per-record trace emission
- * cost — the number the binary flight-recorder format exists to
- * shrink:
+ * google-benchmark microbenchmarks of the per-record trace cost:
  *
- *  - formatTraceLine(): the JSONL sink's snprintf path;
  *  - bintrace::Writer::record(): the .grpbin varint/delta path;
- *  - the full Tracer::record() hot path for both formats (stdio
- *    buffering included), plus the disabled-site guard every
- *    GRP_TRACE site pays when tracing is off.
+ *  - the full Tracer::record() hot path (stdio buffering included),
+ *    plus the disabled-site guard every GRP_TRACE site pays when
+ *    tracing is off;
+ *  - formatTraceLine(): rendering one record as its JSONL view line
+ *    (what grptrace --jsonl pays per record, offline).
  */
 
 #include <benchmark/benchmark.h>
@@ -53,7 +52,7 @@ sampleRecord(size_t i)
 }
 
 void
-BM_JsonlFormatLine(benchmark::State &state)
+BM_JsonlViewRender(benchmark::State &state)
 {
     char buf[256];
     size_t i = 0;
@@ -65,7 +64,7 @@ BM_JsonlFormatLine(benchmark::State &state)
         ++i;
     }
 }
-BENCHMARK(BM_JsonlFormatLine);
+BENCHMARK(BM_JsonlViewRender);
 
 void
 BM_BinaryWriterRecord(benchmark::State &state)
@@ -92,7 +91,7 @@ BENCHMARK(BM_BinaryWriterRecord);
  *  (fd-level, restored after) so the bench measures emission, not
  *  terminal I/O. */
 void
-traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
+BM_TracerRecord(benchmark::State &state)
 {
     std::fflush(stdout);
     const int saved = dup(STDOUT_FILENO);
@@ -105,7 +104,7 @@ traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
     ::close(devnull);
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    if (tracer.open("-", format)) {
+    if (tracer.open("-")) {
         tracer.setLevel(2);
         size_t i = 0;
         for (auto _ : state) {
@@ -122,19 +121,7 @@ traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
     ::close(saved);
 }
 
-void
-BM_TracerJsonl(benchmark::State &state)
-{
-    traceThroughTracer(state, obs::TraceFormat::Jsonl);
-}
-BENCHMARK(BM_TracerJsonl);
-
-void
-BM_TracerBinary(benchmark::State &state)
-{
-    traceThroughTracer(state, obs::TraceFormat::Binary);
-}
-BENCHMARK(BM_TracerBinary);
+BENCHMARK(BM_TracerRecord);
 
 /** What every GRP_TRACE site costs with tracing off: one enabled()
  *  compare. */

@@ -6,7 +6,7 @@
  *          [--policy default|conservative|aggressive]
  *          [--seed N] [--warmup N] [--dump-stats] [--list]
  *          [--stats-json PATH] [--stats-csv PATH]
- *          [--trace PATH] [--trace-level N] [--trace-format FMT]
+ *          [--trace PATH] [--trace-level N]
  *          [--capture PATH] [--replay PATH]
  *          [--timeseries PATH] [--timeseries-bucket N]
  *          [--site-profile PATH] [--site-report N]
@@ -26,9 +26,9 @@
  * hash for the parsed command line and exits; the same block is
  * embedded in every --stats-json export. The observability flags export the full
  * statistics registry as JSON/CSV, record the prefetch lifecycle
- * trace (JSONL, or the compact .grpbin flight-recorder format —
- * chosen by extension or forced with --trace-format bin|jsonl;
- * --trace - streams to stdout for piping into grptrace), sample
+ * trace (the compact .grpbin flight-recorder format, whatever the
+ * extension; --trace - streams it to stdout for piping into
+ * grptrace, which renders it as JSONL on request), sample
  * queue/channel/MSHR time series and profile
  * per-hint-site behaviour; --capture records the CPU's dynamic
  * access stream to a .grpbin file and --replay re-drives a later
@@ -108,18 +108,6 @@ parsePolicy(const std::string &name)
     fatal("unknown policy '%s'", name.c_str());
 }
 
-obs::TraceFormat
-parseTraceFormat(const std::string &name)
-{
-    if (name == "auto")
-        return obs::TraceFormat::Auto;
-    if (name == "bin" || name == "binary")
-        return obs::TraceFormat::Binary;
-    if (name == "jsonl" || name == "json")
-        return obs::TraceFormat::Jsonl;
-    fatal("unknown trace format '%s' (auto, bin, jsonl)", name.c_str());
-}
-
 /** Reject an output path whose parent directory does not exist —
  *  otherwise a long simulation runs to completion and then silently
  *  (Tracer) or fatally (exports) fails to write its one artifact. */
@@ -147,7 +135,6 @@ usage()
         "              [--dump-stats] [--list]\n"
         "              [--stats-json PATH] [--stats-csv PATH]\n"
         "              [--trace PATH] [--trace-level N]\n"
-        "              [--trace-format auto|bin|jsonl]\n"
         "              [--capture PATH] [--replay PATH]\n"
         "              [--timeseries PATH] [--timeseries-bucket N]\n"
         "              [--site-profile PATH] [--site-report N]\n"
@@ -225,8 +212,6 @@ try {
             options.obs.tracePath = outputPath(arg, value());
         } else if (arg == "--trace-level") {
             options.obs.traceLevel = static_cast<int>(number());
-        } else if (arg == "--trace-format") {
-            options.obs.traceFormat = parseTraceFormat(value());
         } else if (arg == "--capture") {
             options.capturePath = outputPath(arg, value());
         } else if (arg == "--replay") {

@@ -7,10 +7,9 @@
  *            [--site N] [--window A:B] [--ev NAME] [--no-index]
  *            [--jsonl PATH] [--summary-json PATH]
  *
- * Re-reads a trace written by `grpsim --trace` — JSONL or the
- * .grpbin binary flight-recorder format, sniffed automatically, with
- * "-" reading from stdin so `grpsim --trace - | grptrace --quiet -`
- * works — validates the lifecycle invariants (every fill was issued,
+ * Re-reads a .grpbin trace written by `grpsim --trace` — "-" reads
+ * from stdin so `grpsim --trace - | grptrace --quiet -` works —
+ * validates the lifecycle invariants (every fill was issued,
  * every first-use had a fill, no event touches a block that is not
  * live, issues stay inside enqueued windows), recomputes
  * per-hint-class and per-site accuracy/coverage/timeliness from the
@@ -20,15 +19,16 @@
  * ui.perfetto.dev.
  *
  * Query mode (--site / --window / --ev) prints the matching records
- * as JSONL instead of analyzing; on finalized binary traces with a
- * window lower bound the checkpoint directory seeks past the prefix
- * instead of decoding it. --jsonl converts the input to JSONL
- * (byte-identical to a natively written trace); --summary-json
+ * as JSONL instead of analyzing; on finalized traces with a window
+ * lower bound the checkpoint directory seeks past the prefix instead
+ * of decoding it. --jsonl renders the whole trace as JSONL, one
+ * object per record (the JSONL view); --summary-json
  * writes the funnels and invariant verdicts as one machine-readable
- * document. Either path may be "-" for stdout.
+ * document. Either path may be "-" for stdout (the human report then
+ * goes to stderr).
  *
- * Exit status: 0 for a consistent trace, 1 for parse errors,
- * invariant violations, truncated binary inputs, or unusable inputs.
+ * Exit status: 0 for a consistent trace, 1 for decode errors,
+ * invariant violations, truncated traces, or non-.grpbin inputs.
  */
 
 #include <algorithm>
@@ -65,8 +65,7 @@ usage()
         "                [--site N] [--window A:B] [--ev NAME]\n"
         "                [--no-index] [--jsonl PATH]\n"
         "                [--summary-json PATH]\n"
-        "  TRACE              .jsonl or .grpbin trace; '-' reads "
-        "stdin\n"
+        "  TRACE              .grpbin trace; '-' reads stdin\n"
         "  --chrome PATH      convert to Chrome trace_event JSON\n"
         "  --timeseries PATH  merge a grp-timeseries-v1 dump into the\n"
         "                     Chrome export as counter tracks\n"
@@ -78,37 +77,39 @@ usage()
         "                     (either bound may be empty)\n"
         "  --ev NAME          query: records of one event type\n"
         "  --no-index         query: full scan, ignore checkpoints\n"
-        "  --jsonl PATH       convert the trace to JSONL ('-' stdout)\n"
+        "  --jsonl PATH       render the trace as JSONL ('-' stdout)\n"
         "  --summary-json PATH  machine-readable funnels + verdicts\n"
         "                     ('-' stdout)\n");
 }
 
 void
-printFunnelRow(const char *label, const obs::FunnelStats &f)
+printFunnelRow(std::FILE *out, const char *label,
+               const obs::FunnelStats &f)
 {
     const uint64_t p90 =
         f.fillToUse.samples() ? f.fillToUse.percentile(90.0) : 0;
-    std::printf("%-12s %8llu %8llu %7llu %7llu %8llu %8llu %7llu "
-                "%7llu %6.1f %8llu %7llu\n",
-                label, (unsigned long long)f.triggers,
-                (unsigned long long)f.enqueued,
-                (unsigned long long)f.dropped,
-                (unsigned long long)f.filtered,
-                (unsigned long long)f.issued,
-                (unsigned long long)f.fills,
-                (unsigned long long)f.useful,
-                (unsigned long long)f.evictedUnused,
-                100.0 * f.accuracy(), (unsigned long long)p90,
-                (unsigned long long)f.pollutionMisses);
+    std::fprintf(out, "%-12s %8llu %8llu %7llu %7llu %8llu %8llu %7llu "
+                 "%7llu %6.1f %8llu %7llu\n",
+                 label, (unsigned long long)f.triggers,
+                 (unsigned long long)f.enqueued,
+                 (unsigned long long)f.dropped,
+                 (unsigned long long)f.filtered,
+                 (unsigned long long)f.issued,
+                 (unsigned long long)f.fills,
+                 (unsigned long long)f.useful,
+                 (unsigned long long)f.evictedUnused,
+                 100.0 * f.accuracy(), (unsigned long long)p90,
+                 (unsigned long long)f.pollutionMisses);
 }
 
 void
-printFunnelHeader(const char *key)
+printFunnelHeader(std::FILE *out, const char *key)
 {
-    std::printf("%-12s %8s %8s %7s %7s %8s %8s %7s %7s %6s %8s %7s\n",
-                key, "triggers", "enq", "drop", "filt", "issued",
-                "fills", "useful", "evict", "acc%", "p90lat",
-                "pollut");
+    std::fprintf(out,
+                 "%-12s %8s %8s %7s %7s %8s %8s %7s %7s %6s %8s %7s\n",
+                 key, "triggers", "enq", "drop", "filt", "issued",
+                 "fills", "useful", "evict", "acc%", "p90lat",
+                 "pollut");
 }
 
 /** Slurp the whole input ('-' is stdin); false on open failure. */
@@ -224,23 +225,6 @@ parseWindow(const std::string &spec, obs::bintrace::QueryFilter &filter)
         filter.toTick = std::strtoull(to.c_str(), nullptr, 0);
 }
 
-/** Does a parsed line pass the query filter (the JSONL fallback for
- *  inputs the indexed binary query cannot serve)? */
-bool
-matches(const obs::TraceLine &line,
-        const obs::bintrace::QueryFilter &filter)
-{
-    if (filter.fromTick && line.t < *filter.fromTick)
-        return false;
-    if (filter.toTick && line.t > *filter.toTick)
-        return false;
-    if (filter.site && line.site != *filter.site)
-        return false;
-    if (filter.event && line.event != *filter.event)
-        return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -330,43 +314,24 @@ try {
     }
 
     // Query mode prints matching records as JSONL and skips the
-    // analysis; a finalized binary input with a window lower bound
-    // seeks via the checkpoint directory instead of scanning.
+    // analysis; a finalized input with a window lower bound seeks via
+    // the checkpoint directory instead of scanning.
     if (query_mode) {
-        std::vector<obs::TraceLine> lines;
-        uint64_t scanned = 0;
-        bool seeked = false;
-        std::vector<std::string> errors;
-        bool truncated = false;
-        if (obs::bintrace::isBinary(data)) {
-            obs::bintrace::QueryResult result =
-                obs::bintrace::query(data, filter, use_index);
-            lines = std::move(result.lines);
-            scanned = result.recordsScanned;
-            seeked = result.seeked;
-            errors = std::move(result.errors);
-            truncated = result.truncated;
-        } else {
-            const obs::TraceParseResult parsed =
-                obs::readTraceData(data);
-            for (const obs::TraceLine &line : parsed.lines) {
-                if (matches(line, filter))
-                    lines.push_back(line);
-            }
-            scanned = parsed.lines.size();
-            errors = parsed.errors;
-        }
-        for (const obs::TraceLine &line : lines)
+        const obs::bintrace::QueryResult result =
+            obs::bintrace::query(data, filter, use_index);
+        for (const obs::TraceLine &line : result.lines)
             std::fputs(obs::jsonlLine(line).c_str(), stdout);
-        for (const std::string &error : errors)
+        for (const std::string &error : result.errors)
             std::fprintf(stderr, "grptrace: %s: %s\n",
                          trace_path.c_str(), error.c_str());
         std::fprintf(stderr,
                      "grptrace: matched %zu of %llu records scanned"
                      "%s\n",
-                     lines.size(), (unsigned long long)scanned,
-                     seeked ? " (seeked via checkpoint index)" : "");
-        return errors.empty() && !truncated ? 0 : 1;
+                     result.lines.size(),
+                     (unsigned long long)result.recordsScanned,
+                     result.seeked ? " (seeked via checkpoint index)"
+                                   : "");
+        return result.errors.empty() && !result.truncated ? 0 : 1;
     }
 
     const obs::TraceParseResult parsed = obs::readTraceData(data);
@@ -411,39 +376,46 @@ try {
         }
     }
 
+    // A document streamed to stdout keeps it clean: the human
+    // report moves to stderr.
+    std::FILE *human =
+        jsonl_path == "-" || summary_path == "-" ? stderr : stdout;
     if (!quiet) {
-        std::printf("%s: %llu records (%llu warmup-era), "
-                    "%zu parse errors, %zu violations%s\n",
-                    trace_path.c_str(),
-                    (unsigned long long)analysis.records,
-                    (unsigned long long)analysis.warmupRecords,
-                    parsed.errors.size(), analysis.violations.size(),
-                    parsed.binary ? " [binary]" : "");
-        std::printf("end of trace: %llu blocks resident unused, "
-                    "%llu issues in flight%s\n",
-                    (unsigned long long)analysis.liveAtEnd,
-                    (unsigned long long)analysis.inFlightAtEnd,
-                    analysis.coverageChecked
-                        ? ""
-                        : " (no enqueue events: issue coverage "
-                          "not checked)");
+        std::fprintf(human,
+                     "%s: %llu records (%llu warmup-era), "
+                     "%zu parse errors, %zu violations\n",
+                     trace_path.c_str(),
+                     (unsigned long long)analysis.records,
+                     (unsigned long long)analysis.warmupRecords,
+                     parsed.errors.size(), analysis.violations.size());
+        std::fprintf(human,
+                     "end of trace: %llu blocks resident unused, "
+                     "%llu issues in flight%s\n",
+                     (unsigned long long)analysis.liveAtEnd,
+                     (unsigned long long)analysis.inFlightAtEnd,
+                     analysis.coverageChecked
+                         ? ""
+                         : " (no enqueue events: issue coverage "
+                           "not checked)");
         if (analysis.controllerTransitions)
-            std::printf("adaptive controller: %llu knob "
-                        "transitions\n",
-                        (unsigned long long)
-                            analysis.controllerTransitions);
+            std::fprintf(human,
+                         "adaptive controller: %llu knob transitions\n",
+                         (unsigned long long)
+                             analysis.controllerTransitions);
 
-        std::printf("\nper hint class (measured window):\n");
-        printFunnelHeader("class");
+        std::fprintf(human, "\nper hint class (measured window):\n");
+        printFunnelHeader(human, "class");
         for (const auto &[hint, funnel] : analysis.byClass)
-            printFunnelRow(hint == obs::HintClass::None
+            printFunnelRow(human,
+                           hint == obs::HintClass::None
                                ? "unattributed"
                                : obs::toString(hint),
                            funnel);
 
-        std::printf("\nper site (top %zu by evicted-unused fills):\n",
-                    top);
-        printFunnelHeader("site");
+        std::fprintf(human,
+                     "\nper site (top %zu by evicted-unused fills):\n",
+                     top);
+        printFunnelHeader(human, "site");
         std::vector<const std::pair<const int64_t,
                                     obs::FunnelStats> *> ranked;
         for (const auto &entry : analysis.bySite)
@@ -464,7 +436,7 @@ try {
             char label[32];
             std::snprintf(label, sizeof label, "%lld",
                           (long long)entry->first);
-            printFunnelRow(label, entry->second);
+            printFunnelRow(human, label, entry->second);
         }
     }
 
@@ -500,9 +472,9 @@ try {
                   error.empty() ? "missing traceEvents" : error.c_str());
         }
         if (!quiet)
-            std::printf("\nchrome trace: %s (%zu events)\n",
-                        chrome_path.c_str(),
-                        doc->find("traceEvents")->asArray().size());
+            std::fprintf(human, "\nchrome trace: %s (%zu events)\n",
+                         chrome_path.c_str(),
+                         doc->find("traceEvents")->asArray().size());
     }
 
     return ok ? 0 : 1;

@@ -162,7 +162,7 @@ class TraceObserver final : public RunObserver
         obs::Tracer &tracer = obs::Tracer::instance();
         // open() warns on failure
         if (!obs.tracePath.empty() &&
-            tracer.open(obs.tracePath, obs.traceFormat)) {
+            tracer.open(obs.tracePath)) {
             active_ = true;
             tracer.setLevel(obs.traceLevel);
             tracer.setClock(&events);
@@ -351,9 +351,8 @@ class SiteProfileObserver final : public RunObserver
  * GRP_TRACE_ALL=<dir> set, every run that did not ask for a trace
  * writes one into <dir> anyway — which is how the bench suite prices
  * always-on flight recording without teaching every bench binary a
- * trace flag. GRP_TRACE_FORMAT (bin | jsonl, default bin) picks the
- * encoding and GRP_TRACE_LEVEL (default the ObsOptions default) the
- * level. Filenames carry the pid plus a process-wide counter so
+ * trace flag. GRP_TRACE_LEVEL (default the ObsOptions default) picks
+ * the level. Filenames carry the pid plus a process-wide counter so
  * concurrent sweep jobs and repeated runs never collide.
  */
 void
@@ -363,13 +362,11 @@ applyForcedTrace(ObsOptions &obs)
     if (!dir || !*dir || !obs.tracePath.empty())
         return;
     static std::atomic<uint64_t> counter{0};
-    const char *format = std::getenv("GRP_TRACE_FORMAT");
-    const bool jsonl = format && std::string(format) == "jsonl";
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     std::ostringstream path;
     path << dir << "/trace-" << getpid() << '-'
-         << counter.fetch_add(1) << (jsonl ? ".jsonl" : ".grpbin");
+         << counter.fetch_add(1) << ".grpbin";
     obs.tracePath = path.str();
     obs.traceLevel = static_cast<int>(envInt(
         "GRP_TRACE_LEVEL", static_cast<uint64_t>(obs.traceLevel)));

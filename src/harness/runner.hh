@@ -107,11 +107,8 @@ struct ObsOptions
 {
     std::string statsJsonPath;   ///< Registry JSON export.
     std::string statsCsvPath;    ///< Registry CSV export.
-    std::string tracePath;       ///< Prefetch lifecycle trace.
+    std::string tracePath;       ///< Lifecycle .grpbin trace.
     int traceLevel = 1;          ///< Levels <= this are emitted.
-    /** Trace encoding; Auto picks .grpbin binary for a ".grpbin"
-     *  path, JSONL otherwise. */
-    obs::TraceFormat traceFormat = obs::TraceFormat::Auto;
     std::string timeseriesPath;  ///< Queue/channel/MSHR trajectories.
     uint64_t timeseriesBucket = 4096; ///< Cycles between samples.
     std::string siteProfilePath; ///< Per-hint-site profile JSON.

@@ -8,7 +8,6 @@
 #include "harness/replay.hh"
 #include "obs/host_prof.hh"
 #include "obs/json_writer.hh"
-#include "sim/env.hh"
 #include "sim/logging.hh"
 
 // Build provenance baked in by src/CMakeLists.txt; the fallbacks keep
@@ -150,16 +149,13 @@ benchOutPath(const std::string &name)
 }
 
 BenchSweep::BenchSweep(std::string bench_name)
-    : name_(std::move(bench_name)),
-      replayEnabled_(envInt("GRP_SWEEP_REPLAY", 1) != 0)
+    : name_(std::move(bench_name))
 {
 }
 
 std::shared_ptr<SweepRecording>
 BenchSweep::recordingFor(const std::string &name, uint64_t seed)
 {
-    if (!replayEnabled_)
-        return nullptr;
     auto key = std::make_pair(name, seed);
     auto it = recordings_.find(key);
     if (it != recordings_.end())
@@ -304,11 +300,8 @@ BenchSweep::writeTimings() const
     // baselines keep matching unforced runs byte-for-byte.
     if (const char *forced = std::getenv("GRP_TRACE_ALL");
         forced && *forced) {
-        const char *format = std::getenv("GRP_TRACE_FORMAT");
-        const bool jsonl = format && std::string(format) == "jsonl";
         const char *level = std::getenv("GRP_TRACE_LEVEL");
-        std::string mode = jsonl ? "jsonl" : "bin";
-        mode += "-L";
+        std::string mode = "bin-L";
         mode += (level && *level) ? level : "1";
         json.kv("traceMode", mode);
     }

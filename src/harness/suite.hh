@@ -73,10 +73,9 @@ std::string benchOutPath(const std::string &name);
  * workload build, IR transform and access stream are computed once
  * and every scheme point — across every compiler policy — replays
  * them, which is what makes dense grids cheap. Results are
- * byte-identical
- * to per-job interpretation; set GRP_SWEEP_REPLAY=0 to fall back to
- * fully independent jobs (differential testing). Jobs queued through
- * raw add() never share state.
+ * byte-identical to per-job interpretation (tests/test_sweep.cc
+ * checks a shared-recording grid against standalone runs). Jobs
+ * queued through raw add() never share state.
  */
 class BenchSweep
 {
@@ -118,9 +117,9 @@ class BenchSweep
     void writeTimings() const;
 
     /** The shared run context for (name, seed), created on first
-     *  use; null when GRP_SWEEP_REPLAY=0 disables sharing. The
-     *  compiler policy is not part of the key — recordings build
-     *  per-policy hint tables on demand over one shared op stream. */
+     *  use. The compiler policy is not part of the key — recordings
+     *  build per-policy hint tables on demand over one shared op
+     *  stream. */
     std::shared_ptr<SweepRecording>
     recordingFor(const std::string &name, uint64_t seed);
 
@@ -129,7 +128,6 @@ class BenchSweep
     std::vector<SweepOutcome> outcomes_;
     unsigned threads_ = 0;
     double totalWallSeconds_ = 0.0;
-    bool replayEnabled_ = true;
     std::map<std::pair<std::string, uint64_t>,
              std::shared_ptr<SweepRecording>>
         recordings_;

@@ -172,6 +172,11 @@ parseContainer(std::string_view data, Container &out,
             !readVarint(f, fend, ref.key) ||
             !readVarint(f, fend, ref.recordIndex))
             return true;
+        // Every entry must name a checkpoint record inside the body,
+        // or an indexed seek would start decoding anywhere.
+        if (ref.offset < out.bodyOffset || ref.offset >= footer_offset ||
+            base[ref.offset] != kCheckpointTag)
+            return true;
         refs.push_back(ref);
     }
     uint64_t total = 0, final_key = 0;
@@ -521,7 +526,6 @@ readLifecycle(std::string_view data)
     uint64_t key = 0;
     uint64_t addr_key = 0;
     uint64_t index = 0;
-    bool saw_footer = false;
     while (p < end) {
         TraceLine line;
         const DecodeStatus status = decodeOne(
@@ -530,10 +534,8 @@ readLifecycle(std::string_view data)
             result.truncated = true;
             break;
         }
-        if (status == DecodeStatus::Footer) {
-            saw_footer = true;
+        if (status == DecodeStatus::Footer)
             break;
-        }
         if (status == DecodeStatus::Checkpoint)
             continue;
         ++index;
@@ -543,9 +545,18 @@ readLifecycle(std::string_view data)
         }
         result.lines.push_back(line);
     }
-    if (!container.finalized && !saw_footer) {
+    // A footer tag without a consistent trailer is a cut through the
+    // footer directory: truncated like any other missing trailer.
+    if (!container.finalized) {
         result.truncated = true;
         result.errors.push_back(kTruncatedMessage);
+    } else if (index != container.totalRecords) {
+        // A stray footer tag or a corrupt record length ended or
+        // shifted the scan.
+        result.errors.push_back(
+            "corrupt .grpbin trace: the footer lists " +
+            std::to_string(container.totalRecords) +
+            " records, the body decoded " + std::to_string(index));
     }
     return result;
 }

@@ -2,17 +2,16 @@
  * @file
  * The `.grpbin` binary flight-recorder trace container.
  *
- * JSONL tracing costs one snprintf and ~60-120 bytes per record —
- * cheap enough for 20k-instruction debugging runs, far too expensive
- * to leave on at paper-scale (200M-instruction) windows. This module
- * is the compact alternative: varint-encoded, delta-timestamped
- * binary records in a self-describing container that the Tracer can
- * emit instead of JSONL, with offline tooling doing the heavy
- * lifting. Two stream kinds share the container:
+ * Rendering a trace as JSONL costs one snprintf and ~60-120 bytes
+ * per record — far too expensive to leave on at paper-scale
+ * (200M-instruction) windows. This module is the one on-disk trace
+ * format: varint-encoded, delta-timestamped binary records in a
+ * self-describing container, with offline tooling doing the heavy
+ * lifting (grptrace renders any lifecycle trace as JSONL on demand).
+ * Two stream kinds share the container:
  *
- *  - Lifecycle (kind 0): every GRP_TRACE event type, field-for-field
- *    equivalent to the JSONL records (a converted trace is
- *    byte-identical to a natively emitted one).
+ *  - Lifecycle (kind 0): every GRP_TRACE event type, every field of
+ *    the TraceRecord the Tracer was handed.
  *  - Access (kind 1): the RefId-tagged demand-access stream the CPU
  *    consumed, recorded for trace-driven replay (src/harness/capture).
  *
@@ -26,8 +25,8 @@
  *   body     records; tag bytes below 0xFE index table 0. Lifecycle
  *            streams pack the hint class into the tag byte — tag =
  *            hint_index * |table 0| + event_index, decodable from the
- *            table sizes alone (hint 0 is "none", mirroring the JSONL
- *            writer omitting the hint field) — and delta-encode both
+ *            table sizes alone (hint 0 is "none", the hint the JSONL
+ *            view omits) — and delta-encode both
  *            timestamps (modular delta from the previous record's
  *            tick) and addresses (zigzag delta from the previous
  *            record's address — region prefetching touches
@@ -90,10 +89,9 @@ constexpr uint8_t kFooterTag = 0xFF;
 /** Records between checkpoints (the writer's default cadence). */
 constexpr uint64_t kDefaultCheckpointInterval = 8192;
 
-/** Lifecycle record field-presence flags (mirrors which fields the
- *  JSONL writer omits, so conversion is exact; the hint class needs
- *  no flag — it lives in the tag byte, with index 0 meaning "none",
- *  i.e. the field the JSONL writer omits). */
+/** Lifecycle record field-presence flags (a field at its TraceRecord
+ *  default is not encoded; the hint class needs no flag — it lives in
+ *  the tag byte, with index 0 meaning "none"). */
 enum LifecycleFlags : uint8_t
 {
     kHasAddr = 1 << 0,
@@ -232,10 +230,11 @@ class Writer
 };
 
 /**
- * Decode a lifecycle .grpbin into the JSONL reader's TraceLine
- * representation. Unknown tags/hints (a newer writer) skip the record
- * with a "record N:" error; a missing trailer sets truncated and adds
- * one distinct, actionable error, after scanning the intact prefix.
+ * Decode a lifecycle .grpbin into TraceLines. Unknown tags/hints (a
+ * newer writer) skip the record with a "record N:" error; a missing
+ * trailer sets truncated and adds one distinct, actionable error,
+ * after scanning the intact prefix; a record count that disagrees
+ * with the footer's total adds a corruption error.
  */
 TraceParseResult readLifecycle(std::string_view data);
 

@@ -69,19 +69,6 @@ traceLevelOf(TraceEvent event)
     return 3;
 }
 
-TraceFormat
-resolveTraceFormat(const std::string &path, TraceFormat requested)
-{
-    if (requested != TraceFormat::Auto)
-        return requested;
-    const std::string suffix = ".grpbin";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) == 0)
-        return TraceFormat::Binary;
-    return TraceFormat::Jsonl;
-}
-
 size_t
 formatTraceLine(char *buf, size_t cap, Tick tick,
                 const TraceRecord &rec, bool warm)
@@ -136,10 +123,9 @@ Tracer::~Tracer()
 }
 
 bool
-Tracer::open(const std::string &path, TraceFormat format)
+Tracer::open(const std::string &path)
 {
     close();
-    format_ = resolveTraceFormat(path, format);
     if (path == "-") {
         out_ = stdout;
         toStdout_ = true;
@@ -157,12 +143,10 @@ Tracer::open(const std::string &path, TraceFormat format)
             iobuf_ = std::make_unique<char[]>(kStreamBufBytes);
         std::setvbuf(out_, iobuf_.get(), _IOFBF, kStreamBufBytes);
     }
-    if (format_ == TraceFormat::Binary) {
-        bin_ = std::make_unique<bintrace::Writer>(
-            out_, bintrace::StreamKind::Lifecycle, lifecycleTables(),
-            std::vector<std::pair<std::string, std::string>>{},
-            checkpointInterval_);
-    }
+    bin_ = std::make_unique<bintrace::Writer>(
+        out_, bintrace::StreamKind::Lifecycle, lifecycleTables(),
+        std::vector<std::pair<std::string, std::string>>{},
+        checkpointInterval_);
     records_ = 0;
     return true;
 }
@@ -171,10 +155,8 @@ void
 Tracer::close()
 {
     if (out_) {
-        if (bin_) {
-            bin_->finalize();
-            bin_.reset();
-        }
+        bin_->finalize();
+        bin_.reset();
         if (toStdout_) {
             std::fflush(out_);
         } else {
@@ -184,7 +166,6 @@ Tracer::close()
         }
         out_ = nullptr;
     }
-    bin_.reset(); // Failed opens may have left a stale writer.
     level_ = 0;
     warmup_ = false;
 }
@@ -195,20 +176,7 @@ Tracer::record(const TraceRecord &rec)
     GRP_HOST_SCOPE(2, TraceEmit);
     if (!out_)
         return;
-    const Tick tick = clock_ ? clock_->curTick() : 0;
-    if (bin_) {
-        bin_->record(rec, tick, warmup_);
-    } else {
-        // Format the whole record into one stack buffer and hand it
-        // to stdio in a single fwrite; with the large stream buffer
-        // each record is one snprintf pass plus one memcpy. 256 bytes
-        // bounds the worst case (every optional field present, 64-bit
-        // values).
-        char line[256];
-        const size_t n =
-            formatTraceLine(line, sizeof(line), tick, rec, warmup_);
-        std::fwrite(line, 1, n, out_);
-    }
+    bin_->record(rec, clock_ ? clock_->curTick() : 0, warmup_);
     ++records_;
 }
 

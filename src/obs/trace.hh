@@ -3,10 +3,10 @@
  * Prefetch lifecycle tracing.
  *
  * A per-thread, low-overhead event sink that records each
- * prefetch's full arc as one JSON object per line (JSONL):
- * the hint class that triggered it, queue enqueue / drop, memory
- * channel issue vs. demand-priority stall, fill, and finally
- * first-use or evicted-unused. Per-hint-class accuracy and
+ * prefetch's full arc into a .grpbin flight-recorder container
+ * (obs/bintrace): the hint class that triggered it, queue enqueue /
+ * drop, memory channel issue vs. demand-priority stall, fill, and
+ * finally first-use or evicted-unused. Per-hint-class accuracy and
  * prefetch-to-use distance distributions (the paper's Table 5
  * attribution claims) can be recomputed from a level-2 trace.
  *
@@ -50,18 +50,6 @@ namespace bintrace
 {
 class Writer;
 }
-
-/** On-disk encoding of a lifecycle trace. */
-enum class TraceFormat : uint8_t
-{
-    Auto,   ///< By extension: ".grpbin" is binary, anything else JSONL.
-    Jsonl,  ///< One JSON object per line (human-greppable).
-    Binary, ///< .grpbin flight-recorder container (obs/bintrace).
-};
-
-/** Resolve Auto against @p path (see TraceFormat::Auto). */
-TraceFormat resolveTraceFormat(const std::string &path,
-                               TraceFormat requested);
 
 /** The lifecycle .grpbin string tables: table 0 maps tag bytes to
  *  event names, table 1 maps hint indices to class names. */
@@ -113,7 +101,7 @@ const char *toString(TraceEvent event);
 int traceLevelOf(TraceEvent event);
 
 /** One trace emission. Fields with default values are omitted from
- *  the output line. */
+ *  the encoded record and from its JSONL view. */
 struct TraceRecord
 {
     TraceRecord(TraceEvent event_, Addr addr_ = 0,
@@ -141,17 +129,15 @@ struct TraceRecord
 };
 
 /**
- * Render one record as the canonical JSONL trace line (including the
- * trailing newline). The Tracer's JSONL sink and the .grpbin-to-JSONL
- * converter both use this, so a converted binary trace is
- * byte-identical to a natively emitted one.
+ * Render one record as its JSONL view line (including the trailing
+ * newline): grptrace's --jsonl conversion and query output.
  *
  * @return Bytes written into @p buf (capacity @p cap).
  */
 size_t formatTraceLine(char *buf, size_t cap, Tick tick,
                        const TraceRecord &rec, bool warm);
 
-/** The per-thread trace sink (JSONL or .grpbin binary). */
+/** The per-thread .grpbin trace sink. */
 class Tracer
 {
   public:
@@ -179,18 +165,17 @@ class Tracer
      * every JSON artefact (obs/atomic_file) — readers never see a
      * partial file at @p path, and a crashed run leaves only the
      * .tmp behind. The sentinel path "-" streams to stdout instead
-     * (no rename; binary streams still carry their footer, so a
-     * piped consumer sees a finalized container).
+     * (no rename; the stream still carries its footer, so a piped
+     * consumer sees a finalized container).
      */
-    bool open(const std::string &path,
-              TraceFormat format = TraceFormat::Auto);
+    bool open(const std::string &path);
 
-    /** Flush, finalize (binary footer), close and publish the sink;
+    /** Flush, finalize (footer), close and publish the sink;
      *  tracing reverts to disabled. Also runs on destruction, so
      *  buffered records are never lost. */
     void close();
 
-    /** Records between binary checkpoints for subsequently opened
+    /** Records between checkpoints for subsequently opened
      *  sinks (0 disables checkpoints; default 8192). */
     void setCheckpointInterval(uint64_t records)
     {
@@ -228,9 +213,8 @@ class Tracer
     std::FILE *out_ = nullptr;
     /** Backing storage handed to setvbuf(); must outlive out_. */
     std::unique_ptr<char[]> iobuf_;
-    /** Binary encoder when format_ == Binary (owns no stream). */
+    /** The encoder over out_ (owns no stream). */
     std::unique_ptr<bintrace::Writer> bin_;
-    TraceFormat format_ = TraceFormat::Jsonl;
     /** Writing to stdout ("-"): flush instead of close + publish. */
     bool toStdout_ = false;
     /** Publication target; the open stream writes publishPath_+".tmp". */

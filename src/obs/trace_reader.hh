@@ -2,12 +2,13 @@
  * @file
  * Offline reading and analysis of prefetch lifecycle traces.
  *
- * The Tracer writes one JSON object per line (JSONL); this module is
- * the other half of that contract: it parses trace files back into
- * records, replays each block's lifecycle through a small state
- * machine to check the invariants the simulator is supposed to
- * uphold (every fill was issued, every first-use had a fill, no
- * event touches a block that is not live), and recomputes the
+ * The Tracer writes .grpbin containers (obs/bintrace); this module
+ * is the other half of that contract: it decodes trace files back
+ * into records, renders them as JSONL view lines, replays each
+ * block's lifecycle through a small state machine to check the
+ * invariants the simulator is supposed to uphold (every fill was
+ * issued, every first-use had a fill, no event touches a block that
+ * is not live), and recomputes the
  * per-hint-class and per-site accuracy/timeliness aggregates from
  * the raw events — independently of the simulator's own counters,
  * which is exactly what makes the cross-check worth having. The
@@ -18,7 +19,6 @@
 #define GRP_OBS_TRACE_READER_HH
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,7 +39,7 @@ std::optional<TraceEvent> parseTraceEvent(const std::string &name);
 /** Inverse of toString(HintClass); nullopt for unknown names. */
 std::optional<HintClass> parseHintClass(const std::string &name);
 
-/** One parsed trace line (absent fields keep the writer's
+/** One decoded trace record (absent fields keep the writer's
  *  omitted-value defaults). */
 struct TraceLine
 {
@@ -55,16 +55,17 @@ struct TraceLine
     bool carry = false;
 };
 
-/** The outcome of parsing one trace file. */
+/** The outcome of decoding one trace file. */
 struct TraceParseResult
 {
     std::vector<TraceLine> lines;
-    /** Messages for lines that failed to parse ("line N: why");
-     *  malformed lines are skipped, not fatal. */
+    /** Messages for records that failed to decode ("record N: why");
+     *  undecodable records are skipped, not fatal. */
     std::vector<std::string> errors;
     /** The file itself could not be opened. */
     bool openFailed = false;
-    /** The input was a .grpbin binary trace. */
+    /** The input carried the .grpbin magic. Anything else is
+     *  rejected with one error and no lines. */
     bool binary = false;
     /** Binary input had no finalize footer: the writer never closed
      *  it (crash / kill / stale .tmp). The intact prefix is still in
@@ -72,18 +73,15 @@ struct TraceParseResult
     bool truncated = false;
 };
 
-TraceParseResult readTrace(std::istream &is);
-
-/** Parse an in-memory trace of either format (sniffs the .grpbin
- *  magic, falls back to JSONL) — the stdin path of grptrace. */
+/** Decode an in-memory .grpbin lifecycle trace — the stdin path of
+ *  grptrace. */
 TraceParseResult readTraceData(const std::string &data);
 
-/** Read @p path in either format (magic-sniffed). */
+/** Read and decode the .grpbin lifecycle trace at @p path. */
 TraceParseResult readTraceFile(const std::string &path);
 
-/** Render one parsed line back to the canonical JSONL form (with
- *  trailing newline) via the Tracer's own formatter, so a binary
- *  trace converts to byte-identical JSONL. */
+/** Render one record as its JSONL view line (with trailing newline)
+ *  via formatTraceLine. */
 std::string jsonlLine(const TraceLine &line);
 
 /** One lifecycle invariant violation found during replay. */

@@ -1,15 +1,18 @@
 /** @file Tests for the .grpbin binary flight-recorder container:
- *  JSONL <-> binary round-trip fidelity over every record type,
- *  checkpoint-seek query equivalence against a full scan, and the
- *  distinct truncated/unfinalized error reporting. */
+ *  write/decode fidelity over every record type, checkpoint-seek
+ *  query equivalence against a full scan, the distinct
+ *  truncated/unfinalized error reporting, and a seeded corruption
+ *  sweep over the lifecycle decoder. */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,8 +47,7 @@ slurp(const std::string &path)
 
 /** Run one traced simulation; returns the trace path. */
 std::string
-runTraced(const char *name, obs::TraceFormat format, int level,
-          uint64_t checkpoint_interval = 0)
+runTraced(const char *name, int level, uint64_t checkpoint_interval = 0)
 {
     setQuiet(true);
     const std::string path = tempPath(name);
@@ -54,84 +56,74 @@ runTraced(const char *name, obs::TraceFormat format, int level,
     RunOptions opts;
     opts.maxInstructions = 60'000;
     opts.obs.tracePath = path;
-    opts.obs.traceFormat = format;
     opts.obs.traceLevel = level;
     if (checkpoint_interval)
         obs::Tracer::instance().setCheckpointInterval(
             checkpoint_interval);
     runWorkload("mcf", config, opts);
+    if (checkpoint_interval)
+        obs::Tracer::instance().setCheckpointInterval(
+            obs::bintrace::kDefaultCheckpointInterval);
     return path;
 }
 
-/** Hand-drive a Tracer pair (JSONL + binary) over the same records
- *  so every event type and field combination is covered regardless
- *  of what a simulation happens to emit. */
-struct RecordedPair
-{
-    std::string jsonlPath;
-    std::string binPath;
+/** Every event type once, plus field-presence variations:
+ *  addresses that jump backwards (zigzag deltas), the None hint
+ *  (omitted field), carry flags, large extras and sites. */
+const std::vector<obs::TraceRecord> kAllRecords = {
+    {obs::TraceEvent::HintTrigger, 0x40000000, obs::HintClass::Spatial,
+     -1, -1, false, 3},
+    {obs::TraceEvent::Enqueue, 0x40000000, obs::HintClass::Spatial, -1,
+     63, false, 3},
+    {obs::TraceEvent::Drop, 0x3f000000, obs::HintClass::Pointer, -1, 8,
+     false, kInvalidRefId},
+    {obs::TraceEvent::Issue, 0x40000040, obs::HintClass::Recursive, 2,
+     1, false, 7},
+    {obs::TraceEvent::Stall, 0, obs::HintClass::None, -1, -1, false,
+     kInvalidRefId},
+    {obs::TraceEvent::Filtered, 0x40000080, obs::HintClass::Indirect,
+     -1, -1, false, 12345},
+    {obs::TraceEvent::Fill, 0x40000040, obs::HintClass::Stride, 1, -1,
+     true, kInvalidRefId},
+    {obs::TraceEvent::FirstUse, 0x40000040, obs::HintClass::None, -1,
+     900, false, 7},
+    {obs::TraceEvent::EvictedUnused, 0x10, obs::HintClass::Spatial, -1,
+     -1, false, kInvalidRefId},
+    {obs::TraceEvent::EvictVictim, 0xdeadbeef00, obs::HintClass::Pointer,
+     -1, -1, false, 9},
+    {obs::TraceEvent::PollutionMiss, 0xdeadbeef00,
+     obs::HintClass::Pointer, -1, -1, false, 9},
+    {obs::TraceEvent::CtrlTransition, 0, obs::HintClass::Spatial, 2, 1,
+     false, kInvalidRefId},
 };
-
-RecordedPair
-writeAllRecordTypes(const char *stem)
-{
-    RecordedPair out;
-    out.jsonlPath = tempPath((std::string(stem) + ".jsonl").c_str());
-    out.binPath = tempPath((std::string(stem) + ".grpbin").c_str());
-
-    // Every event type once, plus field-presence variations:
-    // addresses that jump backwards (zigzag deltas), the None hint
-    // (omitted field), carry/warm flags, large extras and sites.
-    const std::vector<obs::TraceRecord> records = {
-        {obs::TraceEvent::HintTrigger, 0x40000000,
-         obs::HintClass::Spatial, -1, -1, false, 3},
-        {obs::TraceEvent::Enqueue, 0x40000000,
-         obs::HintClass::Spatial, -1, 63, false, 3},
-        {obs::TraceEvent::Drop, 0x3f000000, obs::HintClass::Pointer,
-         -1, 8, false, kInvalidRefId},
-        {obs::TraceEvent::Issue, 0x40000040,
-         obs::HintClass::Recursive, 2, 1, false, 7},
-        {obs::TraceEvent::Stall, 0, obs::HintClass::None, -1, -1,
-         false, kInvalidRefId},
-        {obs::TraceEvent::Filtered, 0x40000080,
-         obs::HintClass::Indirect, -1, -1, false, 12345},
-        {obs::TraceEvent::Fill, 0x40000040, obs::HintClass::Stride,
-         1, -1, true, kInvalidRefId},
-        {obs::TraceEvent::FirstUse, 0x40000040,
-         obs::HintClass::None, -1, 900, false, 7},
-        {obs::TraceEvent::EvictedUnused, 0x10, obs::HintClass::Spatial,
-         -1, -1, false, kInvalidRefId},
-        {obs::TraceEvent::EvictVictim, 0xdeadbeef00,
-         obs::HintClass::Pointer, -1, -1, false, 9},
-        {obs::TraceEvent::PollutionMiss, 0xdeadbeef00,
-         obs::HintClass::Pointer, -1, -1, false, 9},
-        {obs::TraceEvent::CtrlTransition, 0, obs::HintClass::Spatial,
-         2, 1, false, kInvalidRefId},
-    };
-    // Ticks exercise dt = 0 runs and large jumps.
-    const uint64_t ticks[] = {0,   0,   5,    5,    5,    1000,
+/** Ticks exercise dt = 0 runs and large jumps. */
+const uint64_t kAllTicks[] = {0,    0,    5,     5,     5,      1000,
                               1000, 1000, 99999, 99999, 100000, 1u << 20};
+/** Records before this index are written in the warmup era. */
+constexpr size_t kWarmRecords = 6;
 
-    for (const bool binary : {false, true}) {
-        obs::Tracer &tracer = obs::Tracer::instance();
-        EXPECT_TRUE(tracer.open(binary ? out.binPath : out.jsonlPath,
-                                binary ? obs::TraceFormat::Binary
-                                       : obs::TraceFormat::Jsonl))
-            << "open failed";
-        tracer.setLevel(3);
-        EventQueue clock;
-        tracer.setClock(&clock);
-        tracer.setWarmup(true);
-        for (size_t i = 0; i < records.size(); ++i) {
-            clock.advanceTo(ticks[i]);
-            if (i == records.size() / 2)
-                tracer.setWarmup(false);
-            tracer.record(records[i]);
-        }
-        tracer.setClock(nullptr);
-        tracer.close();
+/** Hand-drive the Tracer over kAllRecords so every event type and
+ *  field combination is covered regardless of what a simulation
+ *  happens to emit; returns the trace path. */
+std::string
+writeAllRecordTypes(const char *name)
+{
+    const std::string path = tempPath(name);
+    obs::Tracer &tracer = obs::Tracer::instance();
+    EXPECT_TRUE(tracer.open(path)) << "open failed";
+    tracer.setLevel(3);
+    EventQueue clock;
+    tracer.setClock(&clock);
+    tracer.setWarmup(true);
+    for (size_t i = 0; i < kAllRecords.size(); ++i) {
+        clock.advanceTo(kAllTicks[i]);
+        if (i == kWarmRecords)
+            tracer.setWarmup(false);
+        tracer.record(kAllRecords[i]);
     }
-    return out;
+    tracer.setClock(nullptr);
+    tracer.close();
+    return path;
 }
 
 TEST(Bintrace, VarintRoundTrip)
@@ -165,93 +157,58 @@ TEST(Bintrace, ZigzagRoundTrip)
 
 TEST(Bintrace, AllRecordTypesFieldEqual)
 {
-    const RecordedPair pair = writeAllRecordTypes("grp_bt_all");
-    const obs::TraceParseResult jsonl =
-        obs::readTraceFile(pair.jsonlPath);
-    const obs::TraceParseResult bin = obs::readTraceFile(pair.binPath);
+    const obs::TraceParseResult bin =
+        obs::readTraceFile(writeAllRecordTypes("grp_bt_all.grpbin"));
 
-    EXPECT_FALSE(jsonl.binary);
     EXPECT_TRUE(bin.binary);
     EXPECT_FALSE(bin.truncated);
-    EXPECT_TRUE(jsonl.errors.empty());
     EXPECT_TRUE(bin.errors.empty());
-    ASSERT_EQ(jsonl.lines.size(), bin.lines.size());
-    ASSERT_EQ(bin.lines.size(), 12u); // One per event type.
+    ASSERT_EQ(bin.lines.size(), kAllRecords.size()); // One per event.
 
     for (size_t i = 0; i < bin.lines.size(); ++i) {
-        const obs::TraceLine &a = jsonl.lines[i];
-        const obs::TraceLine &b = bin.lines[i];
-        EXPECT_EQ(a.t, b.t) << i;
-        EXPECT_EQ(a.event, b.event) << i;
-        EXPECT_EQ(a.addr, b.addr) << i;
-        EXPECT_EQ(a.hint, b.hint) << i;
-        EXPECT_EQ(a.channel, b.channel) << i;
-        EXPECT_EQ(a.extra, b.extra) << i;
-        EXPECT_EQ(a.site, b.site) << i;
-        EXPECT_EQ(a.warm, b.warm) << i;
-        EXPECT_EQ(a.carry, b.carry) << i;
+        const obs::TraceRecord &rec = kAllRecords[i];
+        const obs::TraceLine &line = bin.lines[i];
+        EXPECT_EQ(line.t, kAllTicks[i]) << i;
+        EXPECT_EQ(line.event, rec.event) << i;
+        EXPECT_EQ(line.addr, rec.addr) << i;
+        EXPECT_EQ(line.hint, rec.hint) << i;
+        EXPECT_EQ(line.channel, rec.channel) << i;
+        EXPECT_EQ(line.extra, rec.extra) << i;
+        EXPECT_EQ(line.site, rec.site == kInvalidRefId
+                                 ? -1
+                                 : static_cast<int64_t>(rec.site))
+            << i;
+        EXPECT_EQ(line.warm, i < kWarmRecords) << i;
+        EXPECT_EQ(line.carry, rec.carryover) << i;
     }
 }
 
-TEST(Bintrace, ConversionIsByteIdentical)
-{
-    const RecordedPair pair = writeAllRecordTypes("grp_bt_bytes");
-    const obs::TraceParseResult bin = obs::readTraceFile(pair.binPath);
-    std::string converted;
-    for (const obs::TraceLine &line : bin.lines)
-        converted += obs::jsonlLine(line);
-    EXPECT_EQ(converted, slurp(pair.jsonlPath));
-}
-
-TEST(Bintrace, SimulationRoundTripByteIdentical)
+TEST(Bintrace, AnalysisOfASimulationIsClean)
 {
     // The real emitters, not hand-built records: a level-2 grp-var
-    // run in both formats must convert to the same bytes.
-    const std::string jsonl =
-        runTraced("grp_bt_sim.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_sim.grpbin", obs::TraceFormat::Auto, 2);
-    const obs::TraceParseResult parsed = obs::readTraceFile(bin);
+    // trace decodes without errors, passes every lifecycle invariant
+    // and has the right shape (queue events present, no stalls).
+    const obs::TraceParseResult parsed =
+        obs::readTraceFile(runTraced("grp_bt_an.grpbin", 2));
     EXPECT_TRUE(parsed.binary);
     EXPECT_TRUE(parsed.errors.empty());
     ASSERT_FALSE(parsed.lines.empty());
-    std::string converted;
-    for (const obs::TraceLine &line : parsed.lines)
-        converted += obs::jsonlLine(line);
-    EXPECT_EQ(converted, slurp(jsonl));
-}
-
-TEST(Bintrace, AnalyzeEquivalentAcrossFormats)
-{
-    const std::string jsonl =
-        runTraced("grp_bt_an.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_an.grpbin", obs::TraceFormat::Auto, 2);
-    const obs::TraceAnalysis a =
-        obs::analyzeTrace(obs::readTraceFile(jsonl).lines);
-    const obs::TraceAnalysis b =
-        obs::analyzeTrace(obs::readTraceFile(bin).lines);
-    EXPECT_EQ(a.records, b.records);
-    EXPECT_EQ(a.warmupRecords, b.warmupRecords);
-    EXPECT_EQ(a.violations.size(), b.violations.size());
-    EXPECT_TRUE(b.violations.empty());
-    ASSERT_EQ(a.byClass.size(), b.byClass.size());
-    for (const auto &[hint, funnel] : a.byClass) {
-        const auto it = b.byClass.find(hint);
-        ASSERT_NE(it, b.byClass.end());
-        EXPECT_EQ(funnel.fills, it->second.fills);
-        EXPECT_EQ(funnel.useful, it->second.useful);
-        EXPECT_EQ(funnel.issued, it->second.issued);
-    }
+    const obs::TraceAnalysis analysis = obs::analyzeTrace(parsed.lines);
+    EXPECT_TRUE(analysis.violations.empty())
+        << analysis.violations.front().message;
+    EXPECT_TRUE(analysis.coverageChecked);
+    EXPECT_EQ(analysis.records, parsed.lines.size());
+    uint64_t fills = 0;
+    for (const auto &[hint, funnel] : analysis.byClass)
+        fills += funnel.fills;
+    EXPECT_GT(fills, 0u);
 }
 
 TEST(Bintrace, QuerySeekMatchesFullScan)
 {
     // A small checkpoint interval guarantees several checkpoints
     // even in a short run.
-    const std::string bin = runTraced(
-        "grp_bt_seek.grpbin", obs::TraceFormat::Auto, 2, 256);
-    obs::Tracer::instance().setCheckpointInterval(8192); // Restore.
+    const std::string bin = runTraced("grp_bt_seek.grpbin", 2, 256);
     const std::string data = slurp(bin);
 
     obs::bintrace::Container container;
@@ -285,7 +242,7 @@ TEST(Bintrace, QuerySeekMatchesFullScan)
 TEST(Bintrace, QueryFiltersSiteAndEvent)
 {
     const std::string bin =
-        runTraced("grp_bt_filter.grpbin", obs::TraceFormat::Auto, 2);
+        runTraced("grp_bt_filter.grpbin", 2);
     const std::string data = slurp(bin);
 
     obs::bintrace::QueryFilter filter;
@@ -307,7 +264,7 @@ TEST(Bintrace, QueryFiltersSiteAndEvent)
 TEST(Bintrace, TruncatedFileReportsDistinctError)
 {
     const std::string bin =
-        runTraced("grp_bt_trunc.grpbin", obs::TraceFormat::Auto, 1);
+        runTraced("grp_bt_trunc.grpbin", 1);
     const std::string data = slurp(bin);
     ASSERT_GT(data.size(), 400u);
 
@@ -352,7 +309,7 @@ TEST(Bintrace, StdoutSinkProducesFinalizedContainer)
     ::close(fd);
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    const bool opened = tracer.open("-", obs::TraceFormat::Binary);
+    const bool opened = tracer.open("-");
     if (opened) {
         tracer.setLevel(1);
         tracer.record({obs::TraceEvent::Issue, 0x1000,
@@ -383,7 +340,7 @@ TEST(Bintrace, CrashSafetyPublishesOnlyOnClose)
     std::remove((path + ".tmp").c_str());
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    ASSERT_TRUE(tracer.open(path, obs::TraceFormat::Binary));
+    ASSERT_TRUE(tracer.open(path));
     tracer.setLevel(1);
     for (uint32_t i = 0; i < 100; ++i) {
         tracer.record({obs::TraceEvent::Issue, 0x1000 + 64ull * i,
@@ -402,34 +359,199 @@ TEST(Bintrace, CrashSafetyPublishesOnlyOnClose)
     EXPECT_EQ(parsed.lines.size(), 100u);
 }
 
-TEST(Bintrace, FormatResolution)
+TEST(Bintrace, BinaryTenfoldSmallerThanItsJsonlView)
 {
-    using obs::TraceFormat;
-    EXPECT_EQ(obs::resolveTraceFormat("x.grpbin", TraceFormat::Auto),
-              TraceFormat::Binary);
-    EXPECT_EQ(obs::resolveTraceFormat("x.jsonl", TraceFormat::Auto),
-              TraceFormat::Jsonl);
-    EXPECT_EQ(obs::resolveTraceFormat("-", TraceFormat::Auto),
-              TraceFormat::Jsonl);
-    EXPECT_EQ(obs::resolveTraceFormat("x.jsonl", TraceFormat::Binary),
-              TraceFormat::Binary);
-    EXPECT_EQ(obs::resolveTraceFormat("x.grpbin", TraceFormat::Jsonl),
-              TraceFormat::Jsonl);
-}
-
-TEST(Bintrace, BinarySmallerThanJsonl)
-{
-    const std::string jsonl =
-        runTraced("grp_bt_size.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_size.grpbin", obs::TraceFormat::Auto, 2);
-    const size_t jsonl_size = slurp(jsonl).size();
+    const std::string bin = runTraced("grp_bt_size.grpbin", 2);
+    const obs::TraceParseResult parsed = obs::readTraceFile(bin);
+    size_t jsonl_size = 0;
+    for (const obs::TraceLine &line : parsed.lines)
+        jsonl_size += obs::jsonlLine(line).size();
     const size_t bin_size = slurp(bin).size();
     ASSERT_GT(jsonl_size, 0u);
     ASSERT_GT(bin_size, 0u);
-    // The tentpole claim: ten-fold smaller on real traces.
+    // The reason the binary container is the one trace format.
     EXPECT_GE(jsonl_size, 10u * bin_size)
         << jsonl_size << " vs " << bin_size;
+}
+
+/** Re-encode @p data's footer with @p refs as its checkpoint
+ *  directory (totals and trailer rebuilt to stay consistent). */
+std::string
+withDirectory(const std::string &data,
+              const obs::bintrace::Container &container,
+              const std::vector<obs::bintrace::CheckpointRef> &refs)
+{
+    std::string out = data.substr(0, container.footerOffset);
+    const auto put = [&out](uint64_t value) {
+        uint8_t buf[10];
+        const size_t n = obs::bintrace::putVarint(buf, value);
+        out.append(reinterpret_cast<const char *>(buf), n);
+    };
+    out.push_back(static_cast<char>(obs::bintrace::kFooterTag));
+    put(refs.size());
+    for (const obs::bintrace::CheckpointRef &ref : refs) {
+        put(ref.offset);
+        put(ref.key);
+        put(ref.recordIndex);
+    }
+    put(container.totalRecords);
+    put(container.finalKey);
+    const uint64_t footer = container.footerOffset;
+    out.append(reinterpret_cast<const char *>(&footer), 8);
+    out.append(obs::bintrace::kEndMagic, 4);
+    return out;
+}
+
+TEST(Bintrace, DirectoryEntriesMustNameCheckpoints)
+{
+    const std::string data =
+        slurp(runTraced("grp_bt_dir.grpbin", 2, 256));
+    obs::bintrace::Container container;
+    ASSERT_TRUE(
+        obs::bintrace::parseContainer(data, container, nullptr));
+    ASSERT_TRUE(container.finalized);
+    ASSERT_GT(container.checkpoints.size(), 1u);
+    // The re-encoder reproduces the writer's footer byte for byte.
+    ASSERT_EQ(withDirectory(data, container, container.checkpoints),
+              data);
+
+    obs::bintrace::QueryFilter window;
+    window.fromTick = container.finalKey;
+    // An entry pointing into the header, at a record instead of a
+    // checkpoint, past the footer, or at the far end of the address
+    // space leaves the container unfinalized: no seek, truncated.
+    for (const uint64_t offset :
+         {uint64_t{1}, container.bodyOffset + 1,
+          uint64_t{container.footerOffset}, ~uint64_t{0}}) {
+        std::vector<obs::bintrace::CheckpointRef> refs =
+            container.checkpoints;
+        refs.back().offset = offset;
+        const std::string mutant = withDirectory(data, container, refs);
+        obs::bintrace::Container damaged;
+        ASSERT_TRUE(
+            obs::bintrace::parseContainer(mutant, damaged, nullptr));
+        EXPECT_FALSE(damaged.finalized) << offset;
+        const obs::bintrace::QueryResult result =
+            obs::bintrace::query(mutant, window, true);
+        EXPECT_FALSE(result.seeked) << offset;
+        EXPECT_TRUE(result.truncated) << offset;
+    }
+}
+
+/** A decode that reports no damage. */
+template <typename Result>
+bool
+clean(const Result &result)
+{
+    return result.errors.empty() && !result.truncated;
+}
+
+TEST(BintraceFuzz, CorruptedLifecycleTracesDecodeSafely)
+{
+    // A level-2 trace with a checkpoint every 64 records, so damage
+    // lands in records, checkpoints, the footer directory and the
+    // trailer alike.
+    const std::string data =
+        slurp(runTraced("grp_bt_fuzz.grpbin", 2, 64));
+    obs::bintrace::Container container;
+    ASSERT_TRUE(
+        obs::bintrace::parseContainer(data, container, nullptr));
+    ASSERT_TRUE(container.finalized);
+    ASSERT_GT(container.checkpoints.size(), 4u);
+    const std::vector<obs::TraceLine> lines =
+        obs::readTraceData(data).lines;
+    const size_t records = lines.size();
+    ASSERT_EQ(records, container.totalRecords);
+
+    // A window over the middle third: the indexed query seeks.
+    obs::bintrace::QueryFilter window;
+    window.fromTick = lines[lines.size() / 3].t;
+    window.toTick = lines[2 * lines.size() / 3].t;
+    ASSERT_TRUE(obs::bintrace::query(data, window, true).seeked);
+
+    // Every mutant must decode without crashing (the sanitizer builds
+    // catch out-of-bounds reads and UB). A cut file is always
+    // reported as damaged. Any other mutant either reports damage or
+    // decodes exactly the record count the footer lists: a stray
+    // footer tag, a broken record or a bad checkpoint directory
+    // cannot pass as a shorter clean trace. A flipped bit inside one
+    // field's value can, since the v1 container has no checksum.
+    size_t mutants = 0;
+    const auto check = [&](const std::string &mutant, bool cut) {
+        ++mutants;
+        const obs::TraceParseResult parsed = obs::readTraceData(mutant);
+        const obs::bintrace::QueryResult indexed =
+            obs::bintrace::query(mutant, window, true);
+        const obs::bintrace::QueryResult scanned =
+            obs::bintrace::query(mutant, window, false);
+        if (cut) {
+            EXPECT_FALSE(clean(parsed)) << "cut at " << mutant.size();
+            EXPECT_FALSE(clean(indexed)) << "cut at " << mutant.size();
+            EXPECT_FALSE(clean(scanned)) << "cut at " << mutant.size();
+        } else if (clean(parsed)) {
+            EXPECT_EQ(parsed.lines.size(), records)
+                << "mutant " << mutants;
+        }
+        for (const obs::bintrace::QueryResult *q :
+             {&indexed, &scanned}) {
+            for (const obs::TraceLine &line : q->lines) {
+                EXPECT_GE(line.t, *window.fromTick);
+                EXPECT_LE(line.t, *window.toTick);
+            }
+        }
+    };
+
+    std::mt19937_64 rng(20030609);
+    const auto pick = [&rng](size_t n) {
+        return static_cast<size_t>(rng() % n);
+    };
+    const size_t footer = container.footerOffset;
+
+    // Cuts: every length through the header and through the footer
+    // directory and trailer, plus random lengths.
+    for (size_t len = 0; len <= container.bodyOffset; ++len)
+        check(data.substr(0, len), true);
+    for (size_t len = footer; len < data.size(); ++len)
+        check(data.substr(0, len), true);
+    for (int i = 0; i < 300; ++i)
+        check(data.substr(0, pick(data.size())), true);
+
+    // Single-bit flips: every bit of the fixed header, of the trailer
+    // and of each checkpoint tag, then random positions in the
+    // footer directory and anywhere.
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < 8; ++i)
+        positions.push_back(i);
+    for (size_t i = data.size() - obs::bintrace::kTrailerBytes;
+         i < data.size(); ++i)
+        positions.push_back(i);
+    for (const obs::bintrace::CheckpointRef &ref :
+         container.checkpoints)
+        positions.push_back(ref.offset);
+    const auto flip = [&](size_t pos, int bit) {
+        std::string mutant = data;
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << bit));
+        check(mutant, false);
+    };
+    for (size_t pos : positions) {
+        for (int bit = 0; bit < 8; ++bit)
+            flip(pos, bit);
+    }
+    for (int i = 0; i < 300; ++i)
+        flip(footer + pick(data.size() - footer), static_cast<int>(pick(8)));
+    for (int i = 0; i < 900; ++i)
+        flip(pick(data.size()), static_cast<int>(pick(8)));
+
+    // 0xFF runs: stray footer tags and maximal varint continuations.
+    for (int i = 0; i < 600; ++i) {
+        std::string mutant = data;
+        const size_t pos = pick(data.size());
+        const size_t len = std::min(1 + pick(16), data.size() - pos);
+        std::fill_n(mutant.begin() + static_cast<std::ptrdiff_t>(pos),
+                    len, '\xff');
+        check(mutant, false);
+    }
+    EXPECT_GT(mutants, 2500u);
 }
 
 } // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 #include "workloads/interpreter.hh"
 #include "workloads/kernels.hh"
@@ -317,44 +315,6 @@ TEST_F(PredecodeTest, SharedDecodedProgramIsReusable)
         ASSERT_TRUE(first.next(a));
         ASSERT_TRUE(second.next(b));
         expectSameOp(a, b, "mcf/shared", k);
-    }
-}
-
-TEST_F(PredecodeTest, InterpModeParsesTheEnvironment)
-{
-    unsetenv("GRP_INTERP");
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "decoded", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "tree", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Tree);
-    setenv("GRP_INTERP", "bogus", 1);
-    EXPECT_THROW(interpMode(), std::runtime_error);
-    unsetenv("GRP_INTERP");
-}
-
-TEST_F(PredecodeTest, FactoryHonoursInterpMode)
-{
-    FunctionalMemory m1, m2;
-    auto w1 = makeWorkload("gzip");
-    auto w2 = makeWorkload("gzip");
-    Program p1 = w1->build(m1, 42);
-    Program p2 = w2->build(m2, 42);
-    setenv("GRP_INTERP", "tree", 1);
-    auto tree = makeTraceSource(p1, m1, 42);
-    setenv("GRP_INTERP", "decoded", 1);
-    auto decoded = makeTraceSource(p2, m2, 42);
-    unsetenv("GRP_INTERP");
-    EXPECT_NE(dynamic_cast<Interpreter *>(tree.get()), nullptr);
-    EXPECT_NE(dynamic_cast<DecodedInterpreter *>(decoded.get()),
-              nullptr);
-    TraceOp a, b;
-    for (int k = 0; k < 5'000; ++k) {
-        ASSERT_TRUE(tree->next(a));
-        ASSERT_TRUE(decoded->next(b));
-        expectSameOp(a, b, "gzip/factory", k);
     }
 }
 

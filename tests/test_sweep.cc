@@ -1,18 +1,24 @@
 /**
  * @file
  * Sweep-executor tests: the determinism invariant (parallel results
- * are exactly the serial results), outcome ordering, exception
- * capture, and concurrent StatRegistry isolation.
+ * are exactly the serial results), shared in-memory recordings
+ * reproducing standalone runs, outcome ordering, exception capture,
+ * and concurrent StatRegistry isolation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness/replay.hh"
+#include "harness/suite.hh"
 #include "harness/sweep.hh"
 #include "mem/cache.hh"
 #include "obs/stat_registry.hh"
@@ -76,6 +82,10 @@ expectResultsEqual(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.usefulPrefetches, b.usefulPrefetches);
     EXPECT_EQ(a.warmupUsefulPrefetches, b.warmupUsefulPrefetches);
     EXPECT_EQ(a.regionSizes, b.regionSizes);
+    EXPECT_EQ(a.hints.spatial, b.hints.spatial);
+    EXPECT_EQ(a.hints.pointer, b.hints.pointer);
+    EXPECT_EQ(a.hints.recursive, b.hints.recursive);
+    EXPECT_EQ(a.hints.indirect, b.hints.indirect);
     // Every counter the simulation registered, not just the headline
     // scalars: any cross-job interference shows up here first.
     EXPECT_EQ(a.stats.counters, b.stats.counters);
@@ -86,7 +96,11 @@ expectResultsEqual(const RunResult &a, const RunResult &b)
         EXPECT_EQ(name, bit->first);
         EXPECT_EQ(dist.samples, bit->second.samples);
         EXPECT_EQ(dist.sum, bit->second.sum);
+        EXPECT_EQ(dist.mean, bit->second.mean);
         EXPECT_EQ(dist.maxValue, bit->second.maxValue);
+        EXPECT_EQ(dist.p50, bit->second.p50);
+        EXPECT_EQ(dist.p90, bit->second.p90);
+        EXPECT_EQ(dist.p99, bit->second.p99);
         ++bit;
     }
 }
@@ -145,6 +159,69 @@ TEST(Sweep, AdaptiveSchemeIsDeterministicAcrossThreadCounts)
         // The run exercised the controller, not just carried it.
         EXPECT_GT(serial[i].result.stats.value("adaptive.epochs"), 0u);
     }
+}
+
+// Jobs sharing one in-memory SweepRecording per workload (what
+// BenchSweep hands its grid jobs) must reproduce standalone runs
+// stat for stat, including under a non-default compiler policy,
+// whose hint table the recording builds lazily beside the default.
+TEST(Sweep, SharedRecordingMatchesStandaloneRuns)
+{
+    setQuiet(true);
+    const struct
+    {
+        const char *workload;
+        PrefetchScheme scheme;
+        CompilerPolicy policy;
+    } grid[] = {
+        {"mcf", PrefetchScheme::None, CompilerPolicy::Default},
+        {"mcf", PrefetchScheme::GrpVar, CompilerPolicy::Default},
+        {"swim", PrefetchScheme::None, CompilerPolicy::Default},
+        {"swim", PrefetchScheme::GrpVar, CompilerPolicy::Default},
+        {"swim", PrefetchScheme::GrpVar, CompilerPolicy::Aggressive},
+    };
+    std::map<std::string, std::shared_ptr<SweepRecording>> recordings;
+    auto jobs = [&](bool shared) {
+        std::vector<SweepJob> out;
+        for (const auto &cell : grid) {
+            RunOptions opts = quickOptions();
+            if (shared) {
+                std::shared_ptr<SweepRecording> &rec =
+                    recordings[cell.workload];
+                if (!rec)
+                    rec = std::make_shared<SweepRecording>(
+                        cell.workload, opts.seed,
+                        SimConfig{}.l2.sizeBytes);
+                opts.recording = rec;
+            }
+            out.push_back(SweepJob{
+                std::string(cell.workload) + "/" +
+                    toString(cell.scheme) + "/" + toString(cell.policy),
+                [workload = std::string(cell.workload),
+                 scheme = cell.scheme, policy = cell.policy, opts] {
+                    return runScheme(workload, scheme, opts, policy);
+                }});
+        }
+        return out;
+    };
+
+    const std::vector<SweepOutcome> standalone = runSweep(jobs(false), 2);
+    const std::vector<SweepOutcome> shared = runSweep(jobs(true), 2);
+    ASSERT_EQ(standalone.size(), std::size(grid));
+    ASSERT_EQ(shared.size(), std::size(grid));
+    for (size_t i = 0; i < shared.size(); ++i) {
+        SCOPED_TRACE(shared[i].label);
+        EXPECT_FALSE(standalone[i].failed) << standalone[i].error;
+        EXPECT_FALSE(shared[i].failed) << shared[i].error;
+        expectResultsEqual(standalone[i].result, shared[i].result);
+    }
+    // Both recordings were really replayed from, and the policy
+    // point saw its own hint table, not the default one.
+    ASSERT_EQ(recordings.size(), 2u);
+    for (const auto &[workload, rec] : recordings)
+        EXPECT_GT(rec->opsRecorded(), 0u) << workload;
+    EXPECT_NE(shared[4].result.hints.spatial,
+              shared[3].result.hints.spatial);
 }
 
 TEST(Sweep, OutcomesKeepSubmissionOrder)
