@@ -769,6 +769,10 @@ runWorkload(const std::string &workload_name, SimConfig config,
 
     GRP_HOST_SCOPE_NAMED(export_scope, 1, StatsExport);
     observers.finish(stopped);
+    // The snapshot and the exports read the counters through the
+    // registry, past DramBackend::stats(): settle the lazily charged
+    // per-bank counters first.
+    mem.dram().settle();
     result.stats = registry.snapshot();
     if (!obs.statsJsonPath.empty()) {
         // Top-level additions: the partial-run marker (only on

@@ -12,6 +12,9 @@ DramBackend::DramBackend(const DramConfig &config,
       blocksPerRow_(config.rowBytes / kBlockBytes),
       blocksPerRowShift_(floorLog2(config.rowBytes / kBlockBytes)),
       bankShift_(floorLog2(config.banksPerChannel)),
+      channelPeriod_(config.channels >= 64
+                         ? 1
+                         : ~0ull / ((1ull << config.channels) - 1)),
       stats_("dram"),
       statReg_(stats_, registry)
 {
@@ -22,6 +25,7 @@ DramBackend::DramBackend(const DramConfig &config,
     channels_.resize(config.channels);
     for (Channel &channel : channels_)
         channel.banks.resize(config.banksPerChannel);
+    bankNotedThrough_.assign(config.channels, 0);
 
     // Registered up front (and cached as references: Counter storage
     // is stable across reset()) so the per-cycle accounting costs a
@@ -77,12 +81,12 @@ DramBackend::noteChannelCycle(unsigned channel, Tick now)
     ++*counters.slots[4]; // Accounted cycles for this channel.
     ++*contentionCounters_[slot];
     if (bankAccounting_)
-        accountBankCycle(channel, now);
+        noteBankCycles(channel, now, now + 1);
 }
 
 void
-DramBackend::noteChannelCycles(unsigned channel, uint64_t busy_cycles,
-                               uint64_t idle_cycles)
+DramBackend::noteChannelCycles(unsigned channel, Tick from,
+                               uint64_t busy_cycles, uint64_t idle_cycles)
 {
     const Channel &ch = channels_[channel];
     ChannelCycleCounters &counters = cycleCounters_[channel];
@@ -102,11 +106,11 @@ DramBackend::noteChannelCycles(unsigned channel, uint64_t busy_cycles,
     }
     *counters.slots[4] += busy_cycles + idle_cycles;
     if (bankAccounting_)
-        accountBankCycles(channel, busy_cycles + idle_cycles);
+        noteBankCycles(channel, from, from + busy_cycles + idle_cycles);
 }
 
 void
-DramBackend::noteAllIdleCycle()
+DramBackend::noteAllIdleCycle(Tick now)
 {
     for (ChannelCycleCounters &counters : cycleCounters_) {
         ++*counters.slots[3]; // Idle.
@@ -115,8 +119,20 @@ DramBackend::noteAllIdleCycle()
     *contentionCounters_[3] += channels_.size();
     if (bankAccounting_) {
         for (unsigned ch = 0; ch < config_.channels; ++ch)
-            accountBankCycles(ch, 1);
+            noteBankCycles(ch, now, now + 1);
     }
+}
+
+void
+DramBackend::noteBankCycles(unsigned channel, Tick from, Tick to)
+{
+    // A bank's pending cycles are one span, charged against the
+    // state it is in when settled: cycles must be noted in order.
+    panic_if(from != bankNotedThrough_[channel],
+             "channel %u cycles noted out of order (tick %llu, "
+             "expected %llu)", channel, (unsigned long long)from,
+             (unsigned long long)bankNotedThrough_[channel]);
+    bankNotedThrough_[channel] = to;
 }
 
 void
@@ -146,8 +162,9 @@ DramBackend::reset()
         channel.occupantRef = kInvalidRefId;
         channel.occupantHint = obs::HintClass::None;
         for (Bank &bank : channel.banks)
-            bank.openRow = -1;
+            bank = Bank{};
     }
+    bankNotedThrough_.assign(config_.channels, 0);
     maxBusyUntil_ = 0;
     pendingWork_ = 0;
     transfers_ = 0;

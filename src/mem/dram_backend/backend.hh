@@ -59,6 +59,21 @@ class DramBackend
                                      (config_.channels - 1));
     }
 
+    /** Positions of the @p num_blocks-block window at @p base_block
+     *  that channelOf() maps to @p channel: bit i set iff block
+     *  base_block + i lives there (the prefetch draw's channel
+     *  filter, so the draw never tests positions one by one). */
+    uint64_t
+    channelMask(uint64_t base_block, unsigned num_blocks,
+                unsigned channel) const
+    {
+        const unsigned first = static_cast<unsigned>(
+            (channel - base_block) & (config_.channels - 1));
+        const uint64_t window =
+            num_blocks >= 64 ? ~0ull : (1ull << num_blocks) - 1;
+        return first < 64 ? (channelPeriod_ << first) & window : 0;
+    }
+
     /** Bank within the channel servicing @p addr. */
     unsigned
     bankOf(Addr addr) const
@@ -189,18 +204,32 @@ class DramBackend
 
     /**
      * Batched form of noteChannelCycle for the stall fast-forward: in
-     * a window where the channel's occupant cannot change, @p
-     * busy_cycles cycles attribute to the current occupant's class and
-     * @p idle_cycles to idle — byte-identical to calling
-     * noteChannelCycle once per cycle across the window.
+     * a window starting at @p from where the channel's occupant
+     * cannot change, @p busy_cycles cycles attribute to the current
+     * occupant's class and @p idle_cycles to idle — byte-identical to
+     * calling noteChannelCycle once per cycle across the window.
      */
-    void noteChannelCycles(unsigned channel, uint64_t busy_cycles,
-                           uint64_t idle_cycles);
+    void noteChannelCycles(unsigned channel, Tick from,
+                           uint64_t busy_cycles, uint64_t idle_cycles);
 
-    /** One all-channels-idle cycle: equivalent to noteChannelCycle on
-     *  every (idle) channel, minus the per-channel dispatch — the
-     *  accounting arm of the memory system's quiet-cycle fast path. */
-    void noteAllIdleCycle();
+    /** One all-channels-idle cycle at @p now: equivalent to
+     *  noteChannelCycle on every (idle) channel, minus the per-channel
+     *  dispatch — the accounting arm of the memory system's
+     *  quiet-cycle fast path. */
+    void noteAllIdleCycle(Tick now);
+
+    /** Bring the lazily settled per-bank state-cycle counters up to
+     *  the last noted cycle (no-op on backends without them).
+     *  stats() does this itself; readers that reach the counters
+     *  another way (the run's StatRegistry snapshot) call it first. */
+    void
+    settle() const
+    {
+        if (bankAccounting_) {
+            for (unsigned ch = 0; ch < config_.channels; ++ch)
+                settleBanks(ch);
+        }
+    }
 
     /** Demand requests spent @p waiting request-cycles stalled behind
      *  an in-flight prefetch transfer the prioritizer could not
@@ -240,8 +269,19 @@ class DramBackend
     /** Total 64 B transfers served (traffic accounting). */
     uint64_t transfersServed() const { return transfers_; }
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    /** The "dram" stat group, settled (see settle()). */
+    StatGroup &
+    stats()
+    {
+        settle();
+        return stats_;
+    }
+    const StatGroup &
+    stats() const
+    {
+        settle();
+        return stats_;
+    }
 
     const DramConfig &config() const { return config_; }
 
@@ -254,6 +294,9 @@ class DramBackend
     struct Bank
     {
         int64_t openRow = -1;
+        /** Bank-state cycles before this tick are in the counters
+         *  (bank accounting only; settling is logically const). */
+        mutable Tick accountedTo = 0;
     };
 
     struct Channel
@@ -281,25 +324,24 @@ class DramBackend
         ch.occupantHint = hint;
     }
 
-    /** Per-bank state-cycle accounting hook, invoked from the note*
-     *  functions only when the subclass set bankAccounting_ (the
-     *  legacy path keeps zero virtual dispatch per cycle). One
-     *  accounted channel cycle must add exactly one cycle to exactly
-     *  one state counter of every bank on the channel. */
-    virtual void
-    accountBankCycle(unsigned channel, Tick now)
-    {
-        (void)channel; (void)now;
-    }
+    /**
+     * Per-bank state-cycle accounting (subclasses that set
+     * bankAccounting_): the note* hooks record that @p channel's
+     * cycles [from, to) were accounted, which only advances
+     * bankNotedThrough_. Each bank's cycles [Bank::accountedTo,
+     * bankNotedThrough_) are charged later, in closed form, by
+     * settleBanks() — which the subclass must also run on a bank
+     * before changing its state. One accounted channel cycle adds
+     * exactly one cycle to exactly one state counter of every bank on
+     * the channel.
+     */
+    void noteBankCycles(unsigned channel, Tick from, Tick to);
 
-    /** Batched form of accountBankCycle for windows in which no bank
-     *  can change state (quiet fast path / stall fast-forward, both
-     *  of which only occur with the backend fully drained): @p cycles
-     *  cycles attribute to each bank's resting state. */
+    /** Charge every bank of @p channel up to its noted-through tick. */
     virtual void
-    accountBankCycles(unsigned channel, uint64_t cycles)
+    settleBanks(unsigned channel) const
     {
-        (void)channel; (void)cycles;
+        (void)channel;
     }
 
     DramConfig config_;
@@ -307,6 +349,8 @@ class DramBackend
     unsigned blocksPerRow_;
     unsigned blocksPerRowShift_;
     unsigned bankShift_;       ///< log2(banksPerChannel).
+    /** One bit every `channels` positions from bit 0 (channelMask). */
+    uint64_t channelPeriod_;
 
     std::vector<Channel> channels_;
     /** High-water mark of every channel's busyUntil (allIdle()). */
@@ -316,8 +360,10 @@ class DramBackend
     size_t pendingWork_ = 0;
     /** Set by queued subclasses (see queued()). */
     bool queued_ = false;
-    /** Enables the accountBankCycle(s) hooks. */
+    /** Enables per-bank state-cycle accounting (noteBankCycles). */
     bool bankAccounting_ = false;
+    /** Per channel: cycles before this tick have been noted. */
+    std::vector<Tick> bankNotedThrough_;
 
     /** Cached per-channel cycle counters (demand, prefetch,
      *  writeback, idle, total) so per-cycle accounting skips the

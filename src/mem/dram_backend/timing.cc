@@ -100,6 +100,7 @@ TimingDramSystem::catchUpRefresh(unsigned channel, Tick now)
 
     const Tick ref_start = std::max(now, ct.busFreeAt);
     const Tick ref_end = ref_start + Tick{owed} * params_.tRFC;
+    settleBanks(channel);
     for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
         channels_[channel].banks[b].openRow = -1;
         ct.banks[b].refUntil = std::max(ct.banks[b].refUntil, ref_end);
@@ -160,6 +161,7 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
     BankTiming &bt = ct.banks[b];
     Bank &bank = channels_[channel].banks[b];
     const int64_t row = static_cast<int64_t>(rowOf(addr));
+    settleBank(channel, b);
 
     Tick rd_at;
     if (bank.openRow == row) {
@@ -302,30 +304,62 @@ TimingDramSystem::activeBanks(Tick now) const
     return active;
 }
 
-void
-TimingDramSystem::accountBankCycle(unsigned channel, Tick now)
+namespace
 {
-    auto &counters = bankCounters_[channel];
-    for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        const unsigned s =
-            static_cast<unsigned>(bankState(channel, b, now));
-        ++*counters[b][s];
+
+/** Ticks of [from, to) inside [lo, hi). */
+uint64_t
+overlap(Tick from, Tick to, Tick lo, Tick hi)
+{
+    const Tick start = std::max(from, lo);
+    const Tick end = std::min(to, hi);
+    return end > start ? end - start : 0;
+}
+
+} // namespace
+
+void
+TimingDramSystem::settleBank(unsigned channel, unsigned bank) const
+{
+    const Bank &state = channels_[channel].banks[bank];
+    const Tick from = state.accountedTo;
+    const Tick to = bankNotedThrough_[channel];
+    if (from >= to)
+        return;
+    state.accountedTo = to;
+
+    // bankState() precedence: Refreshing, then Precharging, then
+    // Activating; whatever is left rests Open or Idle.
+    const BankTiming &bt = chTiming_[channel].banks[bank];
+    const uint64_t refreshing = overlap(from, to, 0, bt.refUntil);
+    const Tick after_ref = std::max(from, bt.refUntil);
+    const uint64_t precharging =
+        overlap(after_ref, to, bt.preStart, bt.preEnd);
+    uint64_t activating = 0;
+    if (bt.everActivated) {
+        activating = overlap(after_ref, to, bt.actStart, bt.actEnd) -
+                     overlap(std::max(after_ref, bt.preStart),
+                             std::min(to, bt.preEnd), bt.actStart,
+                             bt.actEnd);
     }
+    const uint64_t resting =
+        (to - from) - refreshing - precharging - activating;
+
+    const auto &counters = bankCounters_[channel][bank];
+    const auto add = [&counters](BankState s, uint64_t cycles) {
+        *counters[static_cast<unsigned>(s)] += cycles;
+    };
+    add(BankState::Refreshing, refreshing);
+    add(BankState::Precharging, precharging);
+    add(BankState::Activating, activating);
+    add(state.openRow >= 0 ? BankState::Open : BankState::Idle, resting);
 }
 
 void
-TimingDramSystem::accountBankCycles(unsigned channel, uint64_t cycles)
+TimingDramSystem::settleBanks(unsigned channel) const
 {
-    // Batched windows only occur with the backend fully drained (see
-    // nextTransitionTick), where every bank rests Open or Idle.
-    auto &counters = bankCounters_[channel];
-    const auto &banks = channels_[channel].banks;
-    for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        const unsigned s = banks[b].openRow >= 0
-                               ? static_cast<unsigned>(BankState::Open)
-                               : static_cast<unsigned>(BankState::Idle);
-        *counters[b][s] += cycles;
-    }
+    for (unsigned b = 0; b < config_.banksPerChannel; ++b)
+        settleBank(channel, b);
 }
 
 void

@@ -37,7 +37,10 @@
  * writeback only while a data burst occupies the bus; ACT/PRE/refresh
  * prep shows as channel idle but is visible in the per-bank state
  * counters (chNbankBIdle/Open/Activating/Precharging/Refreshing
- * Cycles), which sum exactly to the channel's accounted cycles.
+ * Cycles), which sum exactly to the channel's accounted cycles. They
+ * are settled lazily: a bank's noted cycles are charged in one step
+ * just before scheduling or refresh changes the bank, and on every
+ * read of the counters (see DramBackend::settle()).
  */
 
 #ifndef GRP_MEM_DRAM_BACKEND_TIMING_HH
@@ -180,8 +183,13 @@ class TimingDramSystem final : public DramBackend
     /** Schedule at most one queued request's command timeline. */
     void scheduleOne(unsigned channel, Tick now);
 
-    void accountBankCycle(unsigned channel, Tick now) override;
-    void accountBankCycles(unsigned channel, uint64_t cycles) override;
+    void settleBanks(unsigned channel) const override;
+    /** Charge @p bank's noted cycles since its accountedTo to its
+     *  state counters in closed form: the overlaps with its refresh,
+     *  precharge and activate windows, the rest to Open or Idle —
+     *  what summing bankState() over those ticks gives, since every
+     *  state change settles the bank first. */
+    void settleBank(unsigned channel, unsigned bank) const;
 
     DramTimingParams params_;
     std::string presetName_;

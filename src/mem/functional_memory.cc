@@ -46,7 +46,7 @@ FunctionalMemory::pageFor(Addr addr)
     const Addr page_addr = addr >> kPageShift;
     auto &slot = pages_[page_addr];
     if (!slot)
-        slot = std::make_unique<Page>(Page{});
+        slot = std::make_unique<Page>(); // Value-initialized: zeroed in place.
     return *slot;
 }
 

@@ -510,7 +510,7 @@ MemorySystem::tick()
           l2Mshrs_->capacity() - l2Mshrs_->inFlight() >
               kDemandReservedMshrs &&
           engine_->queueDepth() == 0))) {
-        dram_->noteAllIdleCycle();
+        dram_->noteAllIdleCycle(now);
         return;
     }
 
@@ -620,7 +620,7 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
                 ? 0
                 : std::min<uint64_t>(busy_until - from, span);
         const uint64_t idle = span - busy;
-        dram_->noteChannelCycles(ch, busy, idle);
+        dram_->noteChannelCycles(ch, from, busy, idle);
         if (idle) {
             if (idle_count == IdleCount::DemandThrottled)
                 *hot_.prefetchDemandThrottled += idle;
@@ -815,6 +815,8 @@ MemorySystem::resetStats()
     l2_->stats().reset();
     l1Mshrs_->stats().reset();
     l2Mshrs_->stats().reset();
+    // stats() settles the per-bank counters first, so the cycles
+    // noted before the boundary are charged (and discarded) now.
     dram_->stats().reset();
     stats_.reset();
     // Prefetches filled before this boundary must not count toward

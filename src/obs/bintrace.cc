@@ -395,22 +395,44 @@ enum class DecodeStatus
 {
     Ok,        ///< One record decoded into the output line.
     Skipped,   ///< Valid framing, unknown name; error recorded.
-    Checkpoint,///< Consumed a checkpoint record.
+    Checkpoint,///< Consumed a checkpoint that agrees with the cursor.
     Footer,    ///< Reached the footer tag; scanning is done.
     Truncated, ///< Ran out of bytes mid-record.
+    Malformed, ///< A checkpoint disagrees with the decoded records.
 };
 
 /**
- * Decode one body item at @p p, advancing it. @p key is the delta
- * clock and @p addr_key the address-delta base (both primed when
- * seeking: key from the checkpoint directory, addr_key to 0 — the
- * writer resets its base at every checkpoint). @p index counts
- * records for error messages.
+ * Running decode state. Every checkpoint re-states what the writer
+ * had written before it — the delta clock, the record count, the
+ * warm count and the per-event counts — so decodeOne() compares
+ * those with this cursor: a damaged tick delta or tag byte anywhere
+ * before a checkpoint is caught there.
+ */
+struct Cursor
+{
+    explicit Cursor(size_t events) : eventCounts(events, 0) {}
+
+    /** Delta clock (the previous record's tick). */
+    uint64_t key = 0;
+    /** Address-delta base (the writer resets it at checkpoints). */
+    uint64_t addrKey = 0;
+    /** Records decoded (or, after a seek, before the seek point). */
+    uint64_t records = 0;
+    uint64_t warm = 0;
+    std::vector<uint64_t> eventCounts;
+    /** False after an indexed seek: the directory primes key and
+     *  records, and the first checkpoint supplies warm and
+     *  eventCounts. */
+    bool countsKnown = true;
+};
+
+/**
+ * Decode one body item at @p p into @p line, advancing @p p and
+ * @p cur (counting Ok and Skipped records).
  */
 DecodeStatus
 decodeOne(const uint8_t *&p, const uint8_t *end,
-          const LifecycleTables &tables, uint64_t &key,
-          uint64_t &addr_key, uint64_t index, TraceLine &line,
+          const LifecycleTables &tables, Cursor &cur, TraceLine &line,
           std::string *error)
 {
     const uint8_t tag = *p++;
@@ -422,12 +444,30 @@ decodeOne(const uint8_t *&p, const uint8_t *end,
             !readVarint(p, end, records) ||
             !readVarint(p, end, warm) || !readVarint(p, end, counts))
             return DecodeStatus::Truncated;
-        for (uint64_t i = 0; i < counts; ++i) {
+        bool agrees = cp_key == cur.key && records == cur.records &&
+                      counts == cur.eventCounts.size() &&
+                      (!cur.countsKnown || warm == cur.warm);
+        for (uint64_t i = 0; agrees && i < counts; ++i) {
             uint64_t count;
             if (!readVarint(p, end, count))
                 return DecodeStatus::Truncated;
+            if (!cur.countsKnown)
+                cur.eventCounts[i] = count;
+            else
+                agrees = count == cur.eventCounts[i];
         }
-        addr_key = 0; // Mirrors the writer's checkpoint reset.
+        if (!agrees) {
+            if (error)
+                *error = "corrupt .grpbin trace: the checkpoint after "
+                         "record " + std::to_string(cur.records) +
+                         " disagrees with the records before it";
+            return DecodeStatus::Malformed;
+        }
+        if (!cur.countsKnown) {
+            cur.warm = warm;
+            cur.countsKnown = true;
+        }
+        cur.addrKey = 0; // Mirrors the writer's checkpoint reset.
         return DecodeStatus::Checkpoint;
     }
     if (p == end)
@@ -436,15 +476,15 @@ decodeOne(const uint8_t *&p, const uint8_t *end,
     uint64_t dt = 0;
     if (!readVarint(p, end, dt))
         return DecodeStatus::Truncated;
-    key += dt;
+    cur.key += dt;
     line = TraceLine{};
-    line.t = key;
+    line.t = cur.key;
     uint64_t value = 0;
     if (flags & kHasAddr) {
         if (!readVarint(p, end, value))
             return DecodeStatus::Truncated;
-        addr_key += unzigzag(value);
-        line.addr = addr_key;
+        cur.addrKey += unzigzag(value);
+        line.addr = cur.addrKey;
     }
     // The tag jointly encodes (hint, event) modulo the file's own
     // event-table size, so the split is well-defined even for tables
@@ -469,9 +509,14 @@ decodeOne(const uint8_t *&p, const uint8_t *end,
     line.warm = flags & kIsWarm;
     line.carry = flags & kIsCarry;
 
+    // The writer counts every record, named or not.
+    const uint64_t number = ++cur.records;
+    cur.warm += line.warm ? 1 : 0;
+    ++cur.eventCounts[event_index];
+
     if (!tables.events[event_index]) {
         if (error)
-            *error = "record " + std::to_string(index + 1) +
+            *error = "record " + std::to_string(number) +
                      ": unknown event tag " + std::to_string(tag);
         return DecodeStatus::Skipped;
     }
@@ -481,7 +526,7 @@ decodeOne(const uint8_t *&p, const uint8_t *end,
         if (hint_index >= tables.hints.size() ||
             !tables.hints[hint_index]) {
             if (error)
-                *error = "record " + std::to_string(index + 1) +
+                *error = "record " + std::to_string(number) +
                          ": unknown hint index " +
                          std::to_string(hint_index);
             return DecodeStatus::Skipped;
@@ -523,22 +568,25 @@ readLifecycle(std::string_view data)
         base + (container.finalized
                     ? container.footerOffset
                     : data.size());
-    uint64_t key = 0;
-    uint64_t addr_key = 0;
-    uint64_t index = 0;
+    Cursor cur(tables.events.size());
+    bool malformed = false;
     while (p < end) {
         TraceLine line;
-        const DecodeStatus status = decodeOne(
-            p, end, tables, key, addr_key, index, line, &error);
+        const DecodeStatus status =
+            decodeOne(p, end, tables, cur, line, &error);
         if (status == DecodeStatus::Truncated) {
             result.truncated = true;
             break;
         }
         if (status == DecodeStatus::Footer)
             break;
+        if (status == DecodeStatus::Malformed) {
+            result.errors.push_back(error);
+            malformed = true;
+            break;
+        }
         if (status == DecodeStatus::Checkpoint)
             continue;
-        ++index;
         if (status == DecodeStatus::Skipped) {
             result.errors.push_back(error);
             continue;
@@ -550,13 +598,13 @@ readLifecycle(std::string_view data)
     if (!container.finalized) {
         result.truncated = true;
         result.errors.push_back(kTruncatedMessage);
-    } else if (index != container.totalRecords) {
+    } else if (!malformed && cur.records != container.totalRecords) {
         // A stray footer tag or a corrupt record length ended or
         // shifted the scan.
         result.errors.push_back(
             "corrupt .grpbin trace: the footer lists " +
             std::to_string(container.totalRecords) +
-            " records, the body decoded " + std::to_string(index));
+            " records, the body decoded " + std::to_string(cur.records));
     }
     return result;
 }
@@ -582,9 +630,7 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
     const uint8_t *end =
         base + (container.finalized ? container.footerOffset
                                     : data.size());
-    uint64_t key = 0;
-    uint64_t addr_key = 0;
-    uint64_t index = 0;
+    Cursor cur(tables.events.size());
 
     // Indexed seek: resume at the last checkpoint whose key (the
     // preceding record's tick) is below the window start. Trace ticks
@@ -598,19 +644,21 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
                 break;
         }
         if (best) {
-            // Skip the checkpoint record itself (it re-states what
-            // the directory entry already told us).
+            // Resume at the checkpoint record itself: decoding it
+            // checks the body against the directory entry and
+            // supplies the counts the cursor cannot know.
             p = base + best->offset;
-            key = best->key;
-            index = best->recordIndex;
+            cur.key = best->key;
+            cur.records = best->recordIndex;
+            cur.countsKnown = false;
             result.seeked = true;
         }
     }
 
     while (p < end) {
         TraceLine line;
-        const DecodeStatus status = decodeOne(
-            p, end, tables, key, addr_key, index, line, &error);
+        const DecodeStatus status =
+            decodeOne(p, end, tables, cur, line, &error);
         if (status == DecodeStatus::Truncated) {
             result.truncated = true;
             result.errors.push_back(kTruncatedMessage);
@@ -618,9 +666,12 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
         }
         if (status == DecodeStatus::Footer)
             break;
+        if (status == DecodeStatus::Malformed) {
+            result.errors.push_back(error);
+            break;
+        }
         if (status == DecodeStatus::Checkpoint)
             continue;
-        ++index;
         ++result.recordsScanned;
         if (status == DecodeStatus::Skipped) {
             result.errors.push_back(error);

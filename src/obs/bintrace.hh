@@ -37,7 +37,8 @@
  *            index, warm-record count, then per-event cumulative
  *            record counts (one per table-0 entry) — a seekable
  *            snapshot: decoding may resume at any checkpoint with the
- *            delta clock primed from `key`
+ *            delta clock primed from `key`; the lifecycle decoder
+ *            checks every field against what it decoded before it
  *   0xFF     footer: checkpoint directory (offset, key, record index
  *            per entry), total records, final key
  *   trailer  u64 LE footer offset, "GRPE" (8+4 fixed bytes)

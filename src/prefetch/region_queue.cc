@@ -274,20 +274,28 @@ RegionQueue::dequeueTier(const DramBackend &dram, unsigned channel,
     int fallback_slot = -1;
     unsigned fallback_pos = 0;
 
+    // Scan order within an entry is index..numBlocks-1, then
+    // 0..index-1: the channel's candidates in each half, lowest first.
     auto scan_entry = [&](int idx) -> std::optional<unsigned> {
         const RegionEntry &entry = slots_[idx].entry;
-        for (unsigned step = 0; step < entry.numBlocks; ++step) {
-            const unsigned pos = (entry.index + step) % entry.numBlocks;
-            if (!(entry.bitvec & (1ull << pos)))
-                continue;
-            const Addr addr = (entry.baseBlock + pos) << kBlockShift;
-            if (dram.channelOf(addr) != channel)
-                continue;
-            if (!bankAware_ || dram.rowOpen(addr))
-                return pos;
-            if (fallback_slot < 0) {
-                fallback_slot = idx;
-                fallback_pos = pos;
+        const uint64_t on_channel =
+            entry.bitvec &
+            dram.channelMask(entry.baseBlock, entry.numBlocks, channel);
+        const uint64_t from_index = ~0ull << entry.index;
+        const uint64_t halves[2] = {on_channel & from_index,
+                                    on_channel & ~from_index};
+        for (uint64_t bits : halves) {
+            for (; bits != 0; bits &= bits - 1) {
+                const unsigned pos =
+                    static_cast<unsigned>(std::countr_zero(bits));
+                if (!bankAware_ ||
+                    dram.rowOpen((entry.baseBlock + pos) << kBlockShift)) {
+                    return pos;
+                }
+                if (fallback_slot < 0) {
+                    fallback_slot = idx;
+                    fallback_pos = pos;
+                }
             }
         }
         return std::nullopt;

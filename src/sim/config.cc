@@ -82,6 +82,10 @@ SimConfig::validate() const
              "L2 must be at least as large as L1D");
     fatal_if(dram.channels == 0 || !isPowerOfTwo(dram.channels),
              "channel count must be a power of two");
+    // The prefetch draw keeps one 64-bit position mask per window
+    // (DramBackend::channelMask): more channels than window positions
+    // is not a meaningful interleave.
+    fatal_if(dram.channels > 64, "channel count must be at most 64");
     fatal_if(dram.banksPerChannel == 0 ||
              !isPowerOfTwo(dram.banksPerChannel),
              "bank count must be a power of two");

@@ -474,8 +474,10 @@ TEST(BintraceFuzz, CorruptedLifecycleTracesDecodeSafely)
     // reported as damaged. Any other mutant either reports damage or
     // decodes exactly the record count the footer lists: a stray
     // footer tag, a broken record or a bad checkpoint directory
-    // cannot pass as a shorter clean trace. A flipped bit inside one
-    // field's value can, since the v1 container has no checksum.
+    // cannot pass as a shorter clean trace. A flipped bit inside an
+    // address, channel, extra or site value, or after the last
+    // checkpoint, can: the v1 container has no checksum (tick and tag
+    // damage before a checkpoint is pinned below).
     size_t mutants = 0;
     const auto check = [&](const std::string &mutant, bool cut) {
         ++mutants;
@@ -552,6 +554,73 @@ TEST(BintraceFuzz, CorruptedLifecycleTracesDecodeSafely)
         check(mutant, false);
     }
     EXPECT_GT(mutants, 2500u);
+
+    // Each checkpoint re-states the clock, the record count, the warm
+    // count and the per-event counts, so damage to a record's tick
+    // delta or tag byte before a checkpoint no longer decodes clean.
+    // Walk the body for each record's tag and delta offsets.
+    struct RecordBytes
+    {
+        size_t tag = 0;
+        size_t delta = 0;
+        size_t deltaBytes = 0;
+    };
+    std::vector<RecordBytes> guarded;
+    const size_t last_checkpoint = container.checkpoints.back().offset;
+    const uint8_t *base = reinterpret_cast<const uint8_t *>(data.data());
+    const uint8_t *p = base + container.bodyOffset;
+    while (static_cast<size_t>(p - base) < last_checkpoint) {
+        uint64_t value = 0;
+        const size_t tag_at = static_cast<size_t>(p - base);
+        if (*p++ == obs::bintrace::kCheckpointTag) {
+            uint64_t counts = 0;
+            for (int i = 0; i < 3; ++i) {
+                ASSERT_TRUE(
+                    obs::bintrace::readVarint(p, p + 10, value));
+            }
+            ASSERT_TRUE(obs::bintrace::readVarint(p, p + 10, counts));
+            for (uint64_t i = 0; i < counts; ++i) {
+                ASSERT_TRUE(
+                    obs::bintrace::readVarint(p, p + 10, value));
+            }
+            continue;
+        }
+        const uint8_t flags = *p++;
+        RecordBytes rec;
+        rec.tag = tag_at;
+        rec.delta = static_cast<size_t>(p - base);
+        ASSERT_TRUE(obs::bintrace::readVarint(p, p + 10, value));
+        rec.deltaBytes = static_cast<size_t>(p - base) - rec.delta;
+        for (uint8_t field : {obs::bintrace::kHasAddr,
+                              obs::bintrace::kHasChannel,
+                              obs::bintrace::kHasExtra,
+                              obs::bintrace::kHasSite}) {
+            if (flags & field) {
+                ASSERT_TRUE(
+                    obs::bintrace::readVarint(p, p + 10, value));
+            }
+        }
+        guarded.push_back(rec);
+    }
+    ASSERT_GT(guarded.size(), 200u);
+    size_t guarded_mutants = 0;
+    const auto expect_damaged = [&](size_t pos, int bit) {
+        std::string mutant = data;
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << bit));
+        ++guarded_mutants;
+        EXPECT_FALSE(clean(obs::readTraceData(mutant)))
+            << "bit " << bit << " at byte " << pos;
+    };
+    for (int i = 0; i < 200; ++i) {
+        const RecordBytes &rec = guarded[pick(guarded.size())];
+        for (int bit = 0; bit < 8; ++bit)
+            expect_damaged(rec.tag, bit);
+        for (size_t byte = 0; byte < rec.deltaBytes; ++byte) {
+            for (int bit = 0; bit < 8; ++bit)
+                expect_damaged(rec.delta + byte, bit);
+        }
+    }
+    EXPECT_GT(guarded_mutants, 3000u);
 }
 
 } // namespace

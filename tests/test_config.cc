@@ -74,6 +74,14 @@ TEST_F(ConfigTest, RejectsBadChannelCount)
     EXPECT_THROW(config.validate(), std::runtime_error);
 }
 
+TEST_F(ConfigTest, RejectsMoreChannelsThanTheDrawMaskHolds)
+{
+    config.dram.channels = 64;
+    EXPECT_NO_THROW(config.validate());
+    config.dram.channels = 128;
+    EXPECT_THROW(config.validate(), std::runtime_error);
+}
+
 TEST_F(ConfigTest, RejectsOverlongRecursion)
 {
     config.region.recursiveDepth = 8; // 3-bit counter.

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "harness/provenance.hh"
@@ -462,6 +464,118 @@ TEST_F(DramBackendTest, PerBankStateCyclesSumToChannelCycles)
             }
             EXPECT_EQ(sum, total) << "channel " << ch << " bank " << b;
         }
+    }
+}
+
+/** The per-bank counters are charged lazily, in closed form; a
+ *  per-cycle tally of bankState() kept here is the reference. Random
+ *  bursty traffic through the memory system, compared at random
+ *  ticks (a stats() read settles), across a mid-run resetStats() and
+ *  across fastForwardTicks() windows in the quiet phases. */
+TEST_F(DramBackendTest, LazyBankAccountingMatchesPerCycleTally)
+{
+    using State = TimingDramSystem::BankState;
+    static const char *kStates[5] = {
+        "Idle", "Open", "Activating", "Precharging", "Refreshing",
+    };
+    for (const char *preset : {"ddr4-2400", "hbm2"}) {
+        SimConfig config;
+        config.dram.backend = preset;
+        EventQueue events;
+        MemorySystem mem(config, events);
+        mem.setLoadCallback([](uint64_t) {});
+        auto &dram = dynamic_cast<TimingDramSystem &>(mem.dram());
+        const DramConfig &cfg = dram.config();
+
+        // tally[ch][bank][state]: cycles noted since the last reset.
+        std::vector<std::vector<std::array<uint64_t, 5>>> tally(
+            cfg.channels,
+            std::vector<std::array<uint64_t, 5>>(cfg.banksPerChannel));
+        const auto count = [&](Tick from, Tick to) {
+            for (Tick t = from; t < to; ++t)
+                for (unsigned ch = 0; ch < cfg.channels; ++ch)
+                    for (unsigned b = 0; b < cfg.banksPerChannel; ++b)
+                        ++tally[ch][b][static_cast<unsigned>(
+                            dram.bankState(ch, b, t))];
+        };
+        unsigned compares = 0;
+        const auto compare = [&](Tick now) {
+            ++compares;
+            const StatGroup &stats = mem.dram().stats();
+            for (unsigned ch = 0; ch < cfg.channels; ++ch) {
+                for (unsigned b = 0; b < cfg.banksPerChannel; ++b) {
+                    for (unsigned s = 0; s < 5; ++s) {
+                        const std::string name =
+                            "ch" + std::to_string(ch) + "bank" +
+                            std::to_string(b) + kStates[s] + "Cycles";
+                        ASSERT_EQ(stats.value(name), tally[ch][b][s])
+                            << preset << " " << name << " at " << now;
+                    }
+                }
+            }
+        };
+
+        uint64_t lcg = 0xD1B54A32D192ED03ull;
+        const auto next = [&lcg] {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            return lcg >> 17;
+        };
+        const Tick horizon = Tick{3} * dram.timing().tREFI;
+        const Tick reset_at = horizon / 3 + next() % 1000;
+        bool was_reset = false;
+        uint64_t token = 1;
+        uint64_t skipped = 0;
+        Tick t = 0;
+        while (t < horizon) {
+            events.advanceTo(t);
+            // Traffic in 1500-tick bursts, then as long again quiet.
+            if ((t / 1500) % 2 == 0 && next() % 4 == 0) {
+                const Addr addr = (next() % (1u << 20)) * kBlockBytes;
+                if (next() % 4 == 0)
+                    mem.store(addr, 0, {});
+                else if (mem.load(addr, 0, {}, token))
+                    ++token;
+            }
+            mem.tick();
+            count(t, t + 1);
+            if (!was_reset && t >= reset_at) {
+                mem.resetStats();
+                for (auto &banks : tally)
+                    for (auto &states : banks)
+                        states = {};
+                was_reset = true;
+            }
+            if (next() % 97 == 0)
+                compare(t);
+            ++t;
+            // Skip quiet stretches the way the runner's stall
+            // fast-forward does.
+            const Tick target =
+                std::min({mem.nextWorkTick(t - 1), events.nextEventTick(),
+                          t + next() % 400, horizon});
+            if (target > t && next() % 2 == 0) {
+                mem.fastForwardTicks(t, target);
+                count(t, target);
+                skipped += target - t;
+                t = target;
+                if (next() % 4 == 0)
+                    compare(t - 1);
+            }
+        }
+        compare(t);
+        EXPECT_TRUE(was_reset);
+        EXPECT_GT(compares, 50u) << preset;
+        EXPECT_GT(skipped, horizon / 10) << preset;
+        EXPECT_GT(mem.dram().stats().value("refreshes"), 0u) << preset;
+        uint64_t prep = 0;
+        for (const auto &banks : tally) {
+            for (const auto &states : banks) {
+                prep += states[static_cast<unsigned>(State::Activating)] +
+                        states[static_cast<unsigned>(State::Precharging)] +
+                        states[static_cast<unsigned>(State::Refreshing)];
+            }
+        }
+        EXPECT_GT(prep, 0u) << preset;
     }
 }
 

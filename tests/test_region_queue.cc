@@ -5,6 +5,7 @@
 #include <deque>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "mem/dram.hh"
 #include "prefetch/region_queue.hh"
@@ -420,79 +421,99 @@ TEST_F(RegionQueueTest, OrderingMatchesReferenceUnderRandomOps)
         obs::HintClass::Spatial, obs::HintClass::Pointer,
         obs::HintClass::Indirect, obs::HintClass::Stride,
     };
-    // Open a few DRAM rows so bank-aware scans have hits to prefer.
-    Tick now = 0;
-    for (Addr addr = 0; addr < 64 * kBlockBytes; addr += kBlockBytes) {
-        dram.serve(addr, now);
-        now += 1000;
-    }
 
-    for (unsigned variant = 0; variant < 8; ++variant) {
-        const bool lifo = variant & 1;
-        const bool bank_aware = variant & 2;
-        const bool tiered = variant & 4;
-
-        adaptive::ControlPlane plane;
-        // Spread classes across three tiers (varies per variant).
-        for (std::size_t c = 0; c < adaptive::kNumClasses; ++c) {
-            plane.knobs(static_cast<obs::HintClass>(c)).priority =
-                static_cast<uint8_t>((c + variant) % 3);
+    // Every channel interleave the draw's channel mask must reproduce,
+    // including the single channel whose mask is the whole window.
+    for (unsigned channels : {1u, 2u, 4u, 8u}) {
+        DramConfig dram_config;
+        dram_config.channels = channels;
+        DramSystem mem(dram_config);
+        // Open a few DRAM rows so bank-aware scans have hits to
+        // prefer.
+        Tick now = 0;
+        for (Addr addr = 0; addr < 64 * kBlockBytes;
+             addr += kBlockBytes) {
+            mem.serve(addr, now);
+            now += 1000;
         }
 
-        RegionQueue queue(8, lifo, bank_aware);
-        ReferenceQueue ref(8, lifo, bank_aware);
-        if (tiered) {
-            queue.setControlPlane(&plane);
-            ref.setControlPlane(&plane);
-        }
+        for (unsigned variant = 0; variant < 8; ++variant) {
+            const bool lifo = variant & 1;
+            const bool bank_aware = variant & 2;
+            const bool tiered = variant & 4;
+            const std::string where =
+                "channels " + std::to_string(channels) + " variant " +
+                std::to_string(variant);
 
-        uint64_t lcg = 0x9E3779B97F4A7C15ull * (variant + 1);
-        auto next = [&lcg] {
-            lcg = lcg * 6364136223846793005ull +
-                  1442695040888963407ull;
-            return lcg >> 16;
-        };
-
-        for (unsigned op = 0; op < 4000; ++op) {
-            const uint64_t roll = next();
-            const obs::HintClass hint = kClasses[roll % 4];
-            const RefId site = static_cast<RefId>(roll % 11);
-            switch ((roll >> 8) % 3) {
-              case 0: {
-                const Addr miss =
-                    ((roll >> 16) % 256) * kBlockBytes;
-                const unsigned window = 1u << ((roll >> 4) % 4 + 2);
-                queue.noteSpatialMiss(miss, window, 0, site, hint);
-                ref.noteSpatialMiss(miss, window, 0, site, hint);
-                break;
-              }
-              case 1: {
-                const Addr target =
-                    ((roll >> 16) % 256) * kBlockBytes;
-                queue.addPointerTarget(target, 2, (roll >> 6) % 3,
-                                       site, hint);
-                ref.addPointerTarget(target, 2, (roll >> 6) % 3,
-                                     site, hint);
-                break;
-              }
-              case 2: {
-                const unsigned channel = (roll >> 16) % 4;
-                const auto got = queue.dequeue(dram, channel);
-                const auto want = ref.dequeue(dram, channel);
-                ASSERT_EQ(got.has_value(), want.has_value())
-                    << "variant " << variant << " op " << op;
-                if (got) {
-                    EXPECT_EQ(got->blockAddr, want->blockAddr)
-                        << "variant " << variant << " op " << op;
-                    EXPECT_EQ(got->refId, want->refId);
-                    EXPECT_EQ(got->ptrDepth, want->ptrDepth);
-                    EXPECT_EQ(got->hintClass, want->hintClass);
-                }
-                break;
-              }
+            adaptive::ControlPlane plane;
+            // Spread classes across three tiers (varies per variant).
+            for (std::size_t c = 0; c < adaptive::kNumClasses; ++c) {
+                plane.knobs(static_cast<obs::HintClass>(c)).priority =
+                    static_cast<uint8_t>((c + variant) % 3);
             }
-            ASSERT_EQ(queue.size(), ref.size())
-                << "variant " << variant << " op " << op;
+
+            RegionQueue queue(8, lifo, bank_aware);
+            ReferenceQueue ref(8, lifo, bank_aware);
+            if (tiered) {
+                queue.setControlPlane(&plane);
+                ref.setControlPlane(&plane);
+            }
+
+            uint64_t lcg =
+                0x9E3779B97F4A7C15ull * (variant + 1) + channels;
+            auto next = [&lcg] {
+                lcg = lcg * 6364136223846793005ull +
+                      1442695040888963407ull;
+                return lcg >> 16;
+            };
+
+            for (unsigned op = 0; op < 4000; ++op) {
+                const uint64_t roll = next();
+                const obs::HintClass hint = kClasses[roll % 4];
+                const RefId site = static_cast<RefId>(roll % 11);
+                switch ((roll >> 8) % 3) {
+                  case 0: {
+                    const Addr miss =
+                        ((roll >> 16) % 256) * kBlockBytes;
+                    const unsigned window = 1u << ((roll >> 4) % 4 + 2);
+                    queue.noteSpatialMiss(miss, window, 0, site, hint);
+                    ref.noteSpatialMiss(miss, window, 0, site, hint);
+                    break;
+                  }
+                  case 1: {
+                    // 1-, 2- and 3-block pointer windows: a second
+                    // miss inside a 3-block window wraps its scan
+                    // index over a size that is not a power of two.
+                    const Addr target =
+                        ((roll >> 16) % 256) * kBlockBytes;
+                    const unsigned blocks =
+                        static_cast<unsigned>((roll >> 40) % 3) + 1;
+                    queue.addPointerTarget(target, blocks,
+                                           (roll >> 6) % 3, site, hint);
+                    ref.addPointerTarget(target, blocks,
+                                         (roll >> 6) % 3, site, hint);
+                    break;
+                  }
+                  case 2: {
+                    const unsigned channel =
+                        static_cast<unsigned>(roll >> 16) % channels;
+                    const auto got = queue.dequeue(mem, channel);
+                    const auto want = ref.dequeue(mem, channel);
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << where << " op " << op;
+                    if (got) {
+                        EXPECT_EQ(got->blockAddr, want->blockAddr)
+                            << where << " op " << op;
+                        EXPECT_EQ(got->refId, want->refId);
+                        EXPECT_EQ(got->ptrDepth, want->ptrDepth);
+                        EXPECT_EQ(got->hintClass, want->hintClass);
+                    }
+                    break;
+                  }
+                }
+                ASSERT_EQ(queue.size(), ref.size())
+                    << where << " op " << op;
+            }
         }
     }
 }
