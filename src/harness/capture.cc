@@ -1,8 +1,7 @@
 #include "harness/capture.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 
 #include "obs/atomic_file.hh"
 #include "sim/logging.hh"
@@ -117,11 +116,16 @@ CaptureTraceSource::close()
 
 ReplayTraceSource::ReplayTraceSource(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
+    // Read straight into data_: captures are the size of the run, so
+    // a stringstream detour would hold the file twice at peak.
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     fatal_if(!is, "cannot open capture file '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    data_ = buf.str();
+    const std::streamoff size = is.tellg();
+    fatal_if(size < 0, "cannot size capture file '%s'", path.c_str());
+    data_.resize(static_cast<size_t>(size));
+    is.seekg(0);
+    is.read(data_.data(), size);
+    fatal_if(!is, "cannot read capture file '%s'", path.c_str());
 
     obs::bintrace::Container container;
     std::string error;
@@ -154,7 +158,13 @@ ReplayTraceSource::ReplayTraceSource(const std::string &path)
     fatal_if(!workload || !seed,
              "capture '%s' lacks workload/seed meta", path.c_str());
     workload_ = *workload;
-    seed_ = std::strtoull(seed->c_str(), nullptr, 10);
+    // Digits only: strtoull would read "abc" as seed 0, which a
+    // seed-0 run would then accept.
+    const char *last = seed->data() + seed->size();
+    const auto [end, ec] = std::from_chars(seed->data(), last, seed_);
+    fatal_if(ec != std::errc() || end != last,
+             "capture '%s' has a malformed seed '%s'", path.c_str(),
+             seed->c_str());
     totalOps_ = container.finalKey;
 
     const uint8_t *base =

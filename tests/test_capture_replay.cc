@@ -198,6 +198,34 @@ TEST(CaptureReplay, TruncatedCaptureIsFatal)
         std::exception);
 }
 
+TEST(CaptureReplay, MalformedSeedIsFatal)
+{
+    // A seed meta that is not a plain decimal must be refused, not
+    // read as 0 and accepted by a seed-0 replay.
+    SimConfig config;
+    config.scheme = PrefetchScheme::GrpVar;
+    RunOptions opts = baseOptions();
+    opts.seed = 0;
+    for (const char *seed : {"seven", "", "-1", " 0", "0x"}) {
+        SCOPED_TRACE(seed);
+        const std::string path = tempPath("grp_cap_badseed.grpbin");
+        std::FILE *out = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(out, nullptr);
+        {
+            obs::bintrace::Writer writer(
+                out, obs::bintrace::StreamKind::Access,
+                {{"computeRun", "load", "store", "indirectPrefetch"}},
+                {{"workload", "mcf"}, {"seed", seed}});
+            const uint8_t run[] = {5};
+            writer.rawRecord(0, run, sizeof(run), 5);
+            writer.finalize();
+        }
+        std::fclose(out);
+        opts.replayPath = path;
+        EXPECT_THROW(runWorkload("mcf", config, opts), std::exception);
+    }
+}
+
 TEST(CaptureReplay, LifecycleTraceIsNotAReplaySource)
 {
     // A kind-0 lifecycle trace must be rejected as a replay input
